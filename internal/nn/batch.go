@@ -87,84 +87,157 @@ func (d *Dense) BackwardBatch(gradOut []float64, n int) []float64 {
 // Conv1D
 
 // ForwardBatch implements BatchLayer: im2col lowering plus one blocked GEMM
-// over all samples and output positions.
+// over all samples and output positions, sharded by sample.
 func (c *Conv1D) ForwardBatch(x []float64, n int) []float64 {
 	fanIn := c.Kernel * c.inCh
-	inSize := c.inLen * c.inCh
 	rows := n * c.outLen
 	c.bcol = pool.Grow(c.bcol, rows*fanIn)
-	for s := 0; s < n; s++ {
-		tensor.Im2Col(c.bcol[s*c.outLen*fanIn:(s+1)*c.outLen*fanIn],
-			x[s*inSize:(s+1)*inSize], c.inLen, c.inCh, c.Kernel, c.Stride, c.outLen)
-	}
 	c.by = pool.Grow(c.by, rows*c.Filters)
-	// The per-sample loop seeds each accumulator with the bias and then
-	// adds the window products in ascending order; prefilling C with the
-	// bias before the accumulating GEMM reproduces that exactly.
-	for r := 0; r < rows; r++ {
-		copy(c.by[r*c.Filters:(r+1)*c.Filters], c.b.Data)
+	if w := c.shards(n, rows*c.Filters*fanIn); w > 1 {
+		runShards(w, n, func(lo, hi int) { c.forwardSamples(x, lo, hi) })
+	} else {
+		c.forwardSamples(x, 0, n)
 	}
-	tensor.GemmNT(c.by, c.bcol, c.w.Data, rows, c.Filters, fanIn)
 	return c.by
 }
 
-// BackwardBatch implements BatchLayer. The weight gradient contracts the
-// cached im2col block against the output gradients in one GEMM; the input
-// gradient keeps the per-position loop structure (GEMM + Col2Im when the
-// windows don't overlap), both preserving the per-sample addition order.
-func (c *Conv1D) BackwardBatch(gradOut []float64, n int) []float64 {
+// forwardSamples runs the forward pass of samples [lo, hi): their im2col
+// rows and their block of GEMM rows.
+func (c *Conv1D) forwardSamples(x []float64, lo, hi int) {
 	fanIn := c.Kernel * c.inCh
 	inSize := c.inLen * c.inCh
+	for s := lo; s < hi; s++ {
+		tensor.Im2Col(c.bcol[s*c.outLen*fanIn:(s+1)*c.outLen*fanIn],
+			x[s*inSize:(s+1)*inSize], c.inLen, c.inCh, c.Kernel, c.Stride, c.outLen)
+	}
+	r0, r1 := lo*c.outLen, hi*c.outLen
+	// The per-sample loop seeds each accumulator with the bias and then
+	// adds the window products in ascending order; prefilling C with the
+	// bias before the accumulating GEMM reproduces that exactly.
+	for r := r0; r < r1; r++ {
+		copy(c.by[r*c.Filters:(r+1)*c.Filters], c.b.Data)
+	}
+	tensor.GemmNT(c.by[r0*c.Filters:r1*c.Filters], c.bcol[r0*fanIn:r1*fanIn], c.w.Data, r1-r0, c.Filters, fanIn)
+}
+
+// BackwardBatch implements BatchLayer. The weight gradient contracts the
+// cached im2col block against the output gradients in one GEMM, sharded by
+// filter; the input gradient keeps the per-position loop structure (GEMM +
+// Col2Im when the windows don't overlap), sharded by sample. Both preserve
+// the per-sample addition order.
+func (c *Conv1D) BackwardBatch(gradOut []float64, n int) []float64 {
+	fanIn := c.Kernel * c.inCh
 	rows := n * c.outLen
-	// dW += dYᵀ·col: contributions arrive in ascending (sample, position)
-	// order with the gf==0 skip — the order of n sequential Backwards.
-	tensor.GemmTN(c.w.Grad, gradOut, c.bcol, c.Filters, fanIn, rows)
-	for r := 0; r < rows; r++ {
-		grow := gradOut[r*c.Filters : (r+1)*c.Filters]
-		for f, gf := range grow {
-			if gf != 0 {
-				c.b.Grad[f] += gf
+	work := rows * c.Filters * fanIn
+	if w := c.shards(c.Filters, work); w > 1 {
+		runShards(w, c.Filters, func(lo, hi int) { c.paramGradFilters(gradOut, rows, lo, hi) })
+	} else {
+		c.paramGradFilters(gradOut, rows, 0, c.Filters)
+	}
+	c.bgin = pool.Grow(c.bgin, n*c.inLen*c.inCh)
+	if c.Stride >= c.Kernel {
+		c.bdcol = pool.Grow(c.bdcol, rows*fanIn)
+	}
+	if w := c.shards(n, work); w > 1 {
+		runShards(w, n, func(lo, hi int) { c.inputGradSamples(gradOut, lo, hi) })
+	} else {
+		c.inputGradSamples(gradOut, 0, n)
+	}
+	return c.bgin
+}
+
+// paramGradFilters accumulates the weight and bias gradients of filters
+// [f0, f1). dW += dYᵀ·col: contributions arrive in ascending (sample,
+// position) order with the gf==0 skip — the order of n sequential
+// Backwards.
+func (c *Conv1D) paramGradFilters(gradOut []float64, rows, f0, f1 int) {
+	fanIn := c.Kernel * c.inCh
+	tensor.GemmTNRows(c.w.Grad, gradOut, c.bcol, c.Filters, fanIn, rows, f0, f1)
+	// One register accumulator per bias element, stored once: the same
+	// additions in the same order, without a shard writing into a cache
+	// line its neighbour writes for every row.
+	for f := f0; f < f1; f++ {
+		acc := c.b.Grad[f]
+		for r := 0; r < rows; r++ {
+			if gf := gradOut[r*c.Filters+f]; gf != 0 {
+				acc += gf
 			}
 		}
+		c.b.Grad[f] = acc
 	}
-	c.bgin = pool.Grow(c.bgin, n*inSize)
-	zero(c.bgin)
+}
+
+// inputGradSamples writes the input-gradient rows of samples [lo, hi).
+func (c *Conv1D) inputGradSamples(gradOut []float64, lo, hi int) {
+	fanIn := c.Kernel * c.inCh
+	inSize := c.inLen * c.inCh
+	oSize := c.outLen * c.Filters
+	zero(c.bgin[lo*inSize : hi*inSize])
 	if c.Stride >= c.Kernel {
 		// Non-overlapping windows: each input element belongs to exactly one
 		// position, so dcol = dY·W scattered by Col2Im adds the same values
 		// in the same order as the per-position loop.
-		c.bdcol = pool.Grow(c.bdcol, rows*fanIn)
-		zero(c.bdcol)
-		tensor.Gemm(c.bdcol, gradOut, c.w.Data, rows, fanIn, c.Filters)
-		for s := 0; s < n; s++ {
+		r0, r1 := lo*c.outLen, hi*c.outLen
+		dcol := c.bdcol[r0*fanIn : r1*fanIn]
+		zero(dcol)
+		tensor.Gemm(dcol, gradOut[lo*oSize:hi*oSize], c.w.Data, r1-r0, fanIn, c.Filters)
+		for s := lo; s < hi; s++ {
 			tensor.Col2Im(c.bgin[s*inSize:(s+1)*inSize],
 				c.bdcol[s*c.outLen*fanIn:(s+1)*c.outLen*fanIn],
 				c.inLen, c.inCh, c.Kernel, c.Stride, c.outLen)
 		}
-		return c.bgin
+		return
 	}
 	// Overlapping windows: an input element collects contributions from
-	// several positions interleaved by filter; only the exact per-sample
-	// loop reproduces that addition sequence.
-	for s := 0; s < n; s++ {
+	// several positions interleaved by filter; only the per-sample loop
+	// order (position ascending, then filter ascending, zeros skipped)
+	// reproduces that addition sequence.
+	for s := lo; s < hi; s++ {
 		gin := c.bgin[s*inSize : (s+1)*inSize]
-		gs := gradOut[s*c.outLen*c.Filters : (s+1)*c.outLen*c.Filters]
+		gs := gradOut[s*oSize : (s+1)*oSize]
 		for p := 0; p < c.outLen; p++ {
 			base := p * c.Stride * c.inCh
-			ginWin := gin[base : base+fanIn]
-			grow := gs[p*c.Filters : (p+1)*c.Filters]
-			for f, gf := range grow {
-				if gf == 0 {
-					continue
-				}
-				wf := c.w.Data[f*fanIn : (f+1)*fanIn]
-				for i, wv := range wf {
-					ginWin[i] += gf * wv
-				}
-			}
+			c.windowGrad(gin[base:base+fanIn], gs[p*c.Filters:(p+1)*c.Filters])
 		}
 	}
-	return c.bgin
+}
+
+// windowGrad adds Σ_f g[f]·W[f] to one window of the input gradient,
+// filters ascending and zero g[f] skipped, like the per-sample Backward.
+// Non-zero filters are taken four at a time so each window element is
+// loaded and stored once per four products; the element still receives
+// them one rounded addition at a time, in filter order.
+func (c *Conv1D) windowGrad(win, g []float64) {
+	fanIn := len(win)
+	w := c.w.Data
+	f := 0
+	for {
+		var nz [4]int
+		k := 0
+		for ; f < len(g) && k < 4; f++ {
+			if g[f] != 0 {
+				nz[k] = f
+				k++
+			}
+		}
+		if k < 4 {
+			for _, fi := range nz[:k] {
+				gf, wf := g[fi], w[fi*fanIn:(fi+1)*fanIn]
+				for i, wv := range wf {
+					win[i] += gf * wv
+				}
+			}
+			return
+		}
+		g0, g1, g2, g3 := g[nz[0]], g[nz[1]], g[nz[2]], g[nz[3]]
+		w0 := w[nz[0]*fanIn:][:fanIn]
+		w1 := w[nz[1]*fanIn:][:fanIn]
+		w2 := w[nz[2]*fanIn:][:fanIn]
+		w3 := w[nz[3]*fanIn:][:fanIn]
+		for i, v := range win {
+			win[i] = v + g0*w0[i] + g1*w1[i] + g2*w2[i] + g3*w3[i]
+		}
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -241,23 +314,42 @@ func (c *LocallyConnected1D) BackwardBatch(gradOut []float64, n int) []float64 {
 // ---------------------------------------------------------------------------
 // ActivationLayer
 
-// ForwardBatch implements BatchLayer: one pointwise pass over the block.
+// ForwardBatch implements BatchLayer: one pointwise pass over the block,
+// sharded by sample.
 func (l *ActivationLayer) ForwardBatch(x []float64, n int) []float64 {
 	l.bx = x
 	l.by = pool.Grow(l.by, n*len(l.y))
-	for i, v := range x {
-		l.by[i] = l.Act.Value(v)
+	if w := l.shards(n, len(x)*pointwiseWork); w > 1 {
+		runShards(w, n, func(lo, hi int) { l.forwardRange(lo*len(l.y), hi*len(l.y)) })
+	} else {
+		l.forwardRange(0, len(x))
 	}
 	return l.by
 }
 
-// BackwardBatch implements BatchLayer.
+func (l *ActivationLayer) forwardRange(lo, hi int) {
+	y := l.by[lo:hi]
+	for i, v := range l.bx[lo:hi] {
+		y[i] = l.Act.Value(v)
+	}
+}
+
+// BackwardBatch implements BatchLayer, sharded by sample.
 func (l *ActivationLayer) BackwardBatch(gradOut []float64, n int) []float64 {
 	l.bgin = pool.Grow(l.bgin, n*len(l.gin))
-	for i, g := range gradOut {
-		l.bgin[i] = g * l.Act.Deriv(l.bx[i], l.by[i])
+	if w := l.shards(n, len(gradOut)*pointwiseWork); w > 1 {
+		runShards(w, n, func(lo, hi int) { l.backwardRange(gradOut, lo*len(l.gin), hi*len(l.gin)) })
+	} else {
+		l.backwardRange(gradOut, 0, len(gradOut))
 	}
 	return l.bgin
+}
+
+func (l *ActivationLayer) backwardRange(gradOut []float64, lo, hi int) {
+	gin, x, y := l.bgin[lo:hi], l.bx[lo:hi], l.by[lo:hi]
+	for i, g := range gradOut[lo:hi] {
+		gin[i] = g * l.Act.Deriv(x[i], y[i])
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -496,16 +588,16 @@ func (m *Model) fullyBatchable() bool {
 
 // forwardBatch runs n row-major samples through the stack, using each
 // layer's batched kernel when it has one and a generic per-sample fallback
-// when it does not. With fused activations enabled, a Dense layer feeding a
-// ReLU/SELU activation runs both in one pass. The returned [n x outLen]
-// block is owned by the model's layers and overwritten by the next call.
+// when it does not. A Dense layer feeding a ReLU/SELU activation runs both
+// in one pass. The returned [n x outLen] block is owned by the model's
+// layers and overwritten by the next call.
 func (m *Model) forwardBatch(x []float64, n int) []float64 {
 	if m.fallbackOut == nil {
 		m.fallbackOut = make([][]float64, len(m.layers))
 	}
 	for li := 0; li < len(m.layers); li++ {
 		l := m.layers[li]
-		if m.fuseAct && li+1 < len(m.layers) {
+		if li+1 < len(m.layers) {
 			if d, ok := l.(*Dense); ok {
 				if a, ok := m.layers[li+1].(*ActivationLayer); ok && fusableActivation(a.Act) {
 					x = d.forwardBatchFused(x, n, a)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"specml/internal/rng"
+	"specml/internal/tensor"
 )
 
 // convOutLen returns the number of valid output positions for a 1-D
@@ -53,6 +54,7 @@ type Conv1D struct {
 	infer               bool
 
 	bcol, bdcol, by, bgin []float64 // batched-path caches (bcol: im2col block)
+	kernelShards
 }
 
 // NewConv1D returns a Conv1D layer.
@@ -102,16 +104,12 @@ func (c *Conv1D) Forward(x []float64) []float64 {
 	fanIn := c.Kernel * c.inCh
 	for p := 0; p < c.outLen; p++ {
 		base := p * c.Stride * c.inCh
-		win := x[base : base+fanIn]
 		out := c.y[p*c.Filters : (p+1)*c.Filters]
-		for f := 0; f < c.Filters; f++ {
-			wf := c.w.Data[f*fanIn : (f+1)*fanIn]
-			s := c.b.Data[f]
-			for i, v := range win {
-				s += wf[i] * v
-			}
-			out[f] = s
-		}
+		// Each output starts from its bias and adds the window products in
+		// ascending order; GemmNT keeps that per-element order while
+		// feeding four filters from every loaded window element.
+		copy(out, c.b.Data)
+		tensor.GemmNT(out, x[base:base+fanIn], c.w.Data, 1, c.Filters, fanIn)
 	}
 	return c.y
 }

@@ -172,6 +172,7 @@ type ActivationLayer struct {
 	infer     bool
 
 	bx, by, bgin []float64 // batched-path caches (bx aliases the input block)
+	kernelShards
 }
 
 // NewActivation wraps a pointwise activation as a layer.

@@ -42,6 +42,7 @@ type LSTM struct {
 	bdc  []float64 // running dc [n][u]
 	bdx  []float64 // time-major input gradients [steps][n][features]
 	bgin []float64 // sample-major input-gradient block [n][steps*features]
+	kernelShards
 }
 
 // NewLSTM returns an LSTM layer with the given number of units.

@@ -37,14 +37,12 @@ func (l *LSTM) ForwardBatch(x []float64, n int) []float64 {
 			copy(l.bxT[(t*n+s)*fts:(t*n+s+1)*fts], x[(s*l.steps+t)*fts:(s*l.steps+t+1)*fts])
 		}
 	}
-	// Gate block seeded with the bias, exactly like the per-sample
-	// accumulator; the hoisted GEMM then adds every x product in ascending
-	// feature order for all [n x steps] rows at once.
 	l.bz = pool.Grow(l.bz, rows*4*u)
-	for r := 0; r < rows; r++ {
-		copy(l.bz[r*4*u:(r+1)*4*u], l.b.Data)
+	if w := l.shards(rows, rows*4*u*fts); w > 1 {
+		runShards(w, rows, l.inputProjection)
+	} else {
+		l.inputProjection(0, rows)
 	}
-	tensor.GemmNT(l.bz, l.bxT, l.wx.Data, rows, 4*u, fts)
 	l.bhs = pool.Grow(l.bhs, (l.steps+1)*n*u)
 	l.bcs = pool.Grow(l.bcs, (l.steps+1)*n*u)
 	zero(l.bhs[:n*u])
@@ -61,6 +59,18 @@ func (l *LSTM) ForwardBatch(x []float64, n int) []float64 {
 		lstmGateBlock(zt, h, cNew, cPrev, n, u)
 	}
 	return l.bhs[l.steps*n*u : (l.steps+1)*n*u]
+}
+
+// inputProjection fills gate rows [r0, r1) with bias + x·Wx. The gate block
+// is seeded with the bias, exactly like the per-sample accumulator; the
+// hoisted GEMM then adds every x product in ascending feature order for all
+// the rows at once.
+func (l *LSTM) inputProjection(r0, r1 int) {
+	g, fts := 4*l.Units, l.features
+	for r := r0; r < r1; r++ {
+		copy(l.bz[r*g:(r+1)*g], l.b.Data)
+	}
+	tensor.GemmNT(l.bz[r0*g:r1*g], l.bxT[r0*fts:r1*fts], l.wx.Data, r1-r0, g, fts)
 }
 
 // lstmGateBlock applies the fused gate nonlinearities in place over a
@@ -90,7 +100,9 @@ func lstmGateBlock(g, h, cNew, cPrev []float64, n, u int) {
 // gradients must arrive in the order n sequential Backward calls produce —
 // (sample ascending, timestep DESCENDING) — which no single batched GEMM
 // over the t-major gate-gradient block emits, so they are accumulated in a
-// deferred loop over the cached gate gradients in exactly that order.
+// deferred loop over the cached gate gradients in exactly that order. Under
+// kernel sharding the dx GEMM splits by sample and the deferred loop by gate
+// row; the recurrent dh GEMM (n x u x 4u) stays serial.
 func (l *LSTM) BackwardBatch(gradOut []float64, n int) []float64 {
 	u, fts := l.Units, l.features
 	l.bdh = pool.Grow(l.bdh, n*u)
@@ -129,14 +141,45 @@ func (l *LSTM) BackwardBatch(gradOut []float64, n int) []float64 {
 		}
 		zero(l.bdh[:n*u])
 		tensor.Gemm(l.bdh[:n*u], dg, l.wh.Data, n, u, 4*u)
-		tensor.Gemm(l.bdx[t*n*fts:(t+1)*n*fts], dg, l.wx.Data, n, fts, 4*u)
+		if w := l.shards(n, n*fts*4*u); w > 1 {
+			runShards(w, n, func(lo, hi int) { l.inputGradStep(t, n, lo, hi) })
+		} else {
+			l.inputGradStep(t, n, 0, n)
+		}
 	}
+	if w := l.shards(4*u, n*l.steps*4*u*(fts+u)); w > 1 {
+		runShards(w, 4*u, func(lo, hi int) { l.paramGradRows(n, lo, hi) })
+	} else {
+		l.paramGradRows(n, 0, 4*u)
+	}
+	l.bgin = pool.Grow(l.bgin, n*l.steps*fts)
+	for s := 0; s < n; s++ {
+		for t := 0; t < l.steps; t++ {
+			copy(l.bgin[(s*l.steps+t)*fts:(s*l.steps+t+1)*fts], l.bdx[(t*n+s)*fts:(t*n+s+1)*fts])
+		}
+	}
+	return l.bgin
+}
+
+// inputGradStep adds timestep t's input gradient dx = dg·Wx for samples
+// [lo, hi); Gemm's zero skip matches the per-sample `if d == 0` skip.
+func (l *LSTM) inputGradStep(t, n, lo, hi int) {
+	g, fts := 4*l.Units, l.features
+	dg := l.bdg[(t*n+lo)*g : (t*n+hi)*g]
+	tensor.Gemm(l.bdx[(t*n+lo)*fts:(t*n+hi)*fts], dg, l.wx.Data, hi-lo, fts, g)
+}
+
+// paramGradRows accumulates the Wx, Wh and bias gradients of gate rows
+// [r0, r1) from the cached gate gradients, in the order n sequential
+// Backward calls produce: sample ascending, timestep descending.
+func (l *LSTM) paramGradRows(n, r0, r1 int) {
+	u, fts := l.Units, l.features
 	for s := 0; s < n; s++ {
 		for t := l.steps - 1; t >= 0; t-- {
 			dgr := l.bdg[(t*n+s)*4*u : (t*n+s+1)*4*u]
 			xt := l.bxT[(t*n+s)*fts : (t*n+s+1)*fts]
 			hPrev := l.bhs[t*n*u+s*u : t*n*u+(s+1)*u]
-			for r := 0; r < 4*u; r++ {
+			for r := r0; r < r1; r++ {
 				d := dgr[r]
 				if d == 0 {
 					continue
@@ -153,11 +196,4 @@ func (l *LSTM) BackwardBatch(gradOut []float64, n int) []float64 {
 			}
 		}
 	}
-	l.bgin = pool.Grow(l.bgin, n*l.steps*fts)
-	for s := 0; s < n; s++ {
-		for t := 0; t < l.steps; t++ {
-			copy(l.bgin[(s*l.steps+t)*fts:(s*l.steps+t+1)*fts], l.bdx[(t*n+s)*fts:(t*n+s+1)*fts])
-		}
-	}
-	return l.bgin
 }

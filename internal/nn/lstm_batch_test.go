@@ -202,11 +202,11 @@ func TestTimeDistributedNonBatchInnerFallback(t *testing.T) {
 	}
 }
 
-// TestFusedDenseActivation pins the fused Dense+activation batch step:
-// opt-in, and bitwise identical to the unfused pair for outputs, input
-// gradients and parameter gradients.
+// TestFusedDenseActivation pins the fused Dense+activation batch step the
+// model's batched forward always takes: bitwise identical to running each
+// layer's own kernel, for outputs, input gradients and parameter gradients.
 func TestFusedDenseActivation(t *testing.T) {
-	build := func(fused bool) *Model {
+	build := func() *Model {
 		m := NewModel().
 			Add(NewDense(16)).
 			Add(NewActivation(ReLU)).
@@ -216,10 +216,9 @@ func TestFusedDenseActivation(t *testing.T) {
 		if err := m.Build(rng.New(51), 12); err != nil {
 			t.Fatal(err)
 		}
-		m.SetFusedActivations(fused)
 		return m
 	}
-	fused, ref := build(true), build(false)
+	fused, ref := build(), build()
 	const n = 13
 	inLen, outLen := fused.InputLen(), fused.OutputLen()
 	src := rng.New(52)
@@ -229,7 +228,10 @@ func TestFusedDenseActivation(t *testing.T) {
 	fillBatch(src, gb)
 
 	yb := fused.forwardBatch(xb, n)
-	refY := ref.forwardBatch(xb, n)
+	refY := xb
+	for _, l := range ref.Layers() {
+		refY = l.(BatchLayer).ForwardBatch(refY, n)
+	}
 	expectBits(t, "forward", yb, refY)
 
 	ginb := fused.backwardBatch(gb, n)

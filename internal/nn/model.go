@@ -29,10 +29,6 @@ type Model struct {
 	// stack is immutable after Build), so per-batch ZeroGrad calls don't
 	// rebuild the slice.
 	params []*Param
-
-	// fuseAct enables the fused Dense+activation batch step (opt-in,
-	// bit-identical; see forwardBatchFused in batch.go).
-	fuseAct bool
 }
 
 // NewModel returns an empty model.
@@ -182,14 +178,6 @@ func (m *Model) setInference(v bool) {
 	}
 }
 
-// SetFusedActivations toggles the fused Dense+activation batch step: when
-// a Dense layer is immediately followed by a ReLU/SELU activation, the
-// batched forward applies the activation inside the GEMM output/bias pass
-// instead of traversing the block a second time. Off by default; results
-// (and gradients, when training through the batched path) are bit-identical
-// either way. Replicas created after the call inherit the setting.
-func (m *Model) SetFusedActivations(v bool) { m.fuseAct = v }
-
 // Clone returns an independent copy of a built model: same architecture,
 // deep-copied parameters, fresh caches.
 func (m *Model) Clone() (*Model, error) {
@@ -213,7 +201,6 @@ func (m *Model) Clone() (*Model, error) {
 	for i := range src {
 		copy(dst[i].Data, src[i].Data)
 	}
-	c.fuseAct = m.fuseAct
 	return c, nil
 }
 

@@ -184,9 +184,9 @@ func (m *Model) fitSource(src dataset.Source, cfg FitConfig, validate bool) (*Hi
 		return hist, nil
 	}
 
-	// Fully batchable stacks — now including the recurrent LSTM and
-	// TimeDistributed layers — train through the blocked-GEMM kernels on the
-	// master model; stacks with a layer lacking a batched kernel get one
+	// Fully batchable stacks — every shipped stack — train through the
+	// blocked-GEMM kernels on the master model, with the kernels sharded
+	// over the workers; stacks with a layer lacking a batched kernel get one
 	// replica per worker instead. Both paths keep the per-sample
 	// accumulation order, so the fit stays bit-identical for any Workers
 	// value (see Fit).
@@ -198,6 +198,12 @@ func (m *Model) fitSource(src dataset.Source, cfg FitConfig, validate bool) (*Hi
 		workers = n
 	}
 	batched := m.fullyBatchable()
+	if batched {
+		// The batched kernels shard each call over the workers (shard.go);
+		// everything that runs the model after the fit gets serial kernels.
+		m.setKernelWorkers(parallel.Resolve(cfg.Workers))
+		defer m.setKernelWorkers(1)
+	}
 	maxB := cfg.BatchSize
 	if maxB > n {
 		maxB = n

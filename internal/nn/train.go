@@ -36,11 +36,17 @@ type FitConfig struct {
 	// LRSchedule, when non-nil, sets the optimizer learning rate before
 	// each epoch (0-based). The optimizer must implement LRSettable.
 	LRSchedule func(epoch int) float64
-	// Workers is the data-parallel worker count (0 = all cores). Each
-	// worker owns a replica sharing the weights read-only; per-sample
-	// gradients are reduced in sample order before every optimizer step,
-	// so the fit is bit-identical for any worker count: equal seeds and
-	// data produce equal models regardless of Workers or GOMAXPROCS.
+	// Workers is the number of cores one training step uses (0 = all
+	// cores). The batched convolution, activation and LSTM kernels split
+	// every call over this many goroutines, each along an axis whose
+	// output elements no other shard touches (samples, GEMM rows, filters,
+	// gate rows), so every element keeps its single ascending-order
+	// accumulator and the fit is bit-identical for any worker count: equal
+	// seeds and data produce equal models regardless of Workers or
+	// GOMAXPROCS. Kernels too small to repay a fork/join stay serial. A
+	// stack with a layer that has no batched kernel instead trains one
+	// sample per worker on weight-sharing replicas, reduced in sample
+	// order. Workers also caps the concurrent corpus render workers.
 	Workers int
 	// Metrics, when non-nil, receives training progress: epoch, sample and
 	// batch throughput counters, epoch-duration, render-wait and

@@ -107,29 +107,65 @@ func GemmNT(c, a, b []float64, m, n, k int) {
 // in ascending k order because the outer loop walks k while C acts as the
 // accumulator; C (a parameter gradient) is small and stays cache-resident.
 func GemmTN(c, a, b []float64, m, n, k int) {
+	GemmTNRows(c, a, b, m, n, k, 0, m)
+}
+
+// GemmTNRows is GemmTN restricted to the C rows [i0, i1): it streams all k
+// rows of A and B but writes only those rows of C, each element with the
+// same ascending-k accumulator as GemmTN. Calls on disjoint row ranges may
+// therefore run concurrently, and together they equal one GemmTN bit for
+// bit — the way a weight gradient is split across cores.
+func GemmTNRows(c, a, b []float64, m, n, k, i0, i1 int) {
 	if len(a) != k*m || len(b) != k*n || len(c) != m*n {
 		panic(fmt.Sprintf("tensor: GemmTN dimension mismatch (a %d, b %d, c %d for m=%d n=%d k=%d)",
 			len(a), len(b), len(c), m, n, k))
 	}
-	if m == 0 || n == 0 || k == 0 {
+	if i0 < 0 || i1 > m || i0 > i1 {
+		panic(fmt.Sprintf("tensor: GemmTN row range [%d, %d) outside [0, %d)", i0, i1, m))
+	}
+	if i0 == i1 || n == 0 || k == 0 {
 		return
 	}
-	for p := 0; p < k; p++ {
-		arow := a[p*m : (p+1)*m]
-		brow := b[p*n : (p+1)*n]
-		for i, av := range arow {
-			if av == 0 {
-				// A zero row scale contributes av*brow[j] = ±0 to every
-				// element; skipping it cannot change any finite sum (the
-				// accumulators never hold -0: they start at a stored C value
-				// produced by additions, and x + ±0 == x for x != -0).
+	// Four k rows at a time: where all four scales are non-zero, each C
+	// element is loaded and stored once for its four products, which it
+	// still receives as four rounded additions in ascending k order.
+	p := 0
+	for ; p+4 <= k; p += 4 {
+		b0, b1, b2, b3 := b[p*n:][:n], b[(p+1)*n:][:n], b[(p+2)*n:][:n], b[(p+3)*n:][:n]
+		for i := i0; i < i1; i++ {
+			a0, a1, a2, a3 := a[p*m+i], a[(p+1)*m+i], a[(p+2)*m+i], a[(p+3)*m+i]
+			crow := c[i*n:][:n]
+			if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 {
+				for j, cv := range crow {
+					crow[j] = cv + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+				}
 				continue
 			}
-			crow := c[i*n : (i+1)*n]
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
+			axpySkipZero(crow, a0, b0)
+			axpySkipZero(crow, a1, b1)
+			axpySkipZero(crow, a2, b2)
+			axpySkipZero(crow, a3, b3)
 		}
+	}
+	for ; p < k; p++ {
+		brow := b[p*n:][:n]
+		for i := i0; i < i1; i++ {
+			axpySkipZero(c[i*n:][:n], a[p*m+i], brow)
+		}
+	}
+}
+
+// axpySkipZero adds av*x to y elementwise unless av is zero. A zero scale
+// contributes av*x[j] = ±0 to every element; skipping it cannot change any
+// finite sum (the accumulators never hold -0: they start at a stored C
+// value produced by additions, and x + ±0 == x for x != -0).
+func axpySkipZero(y []float64, av float64, x []float64) {
+	if av == 0 {
+		return
+	}
+	x = x[:len(y)]
+	for j, xv := range x {
+		y[j] += av * xv
 	}
 }
 

@@ -117,6 +117,39 @@ func TestGemmTNMatchesOrderedReference(t *testing.T) {
 	}
 }
 
+// TestGemmTNRowsComposesGemmTN pins the sharding contract of GemmTNRows:
+// any split of C's rows into ranges, each computed by its own call,
+// reproduces one GemmTN bit for bit.
+func TestGemmTNRowsComposesGemmTN(t *testing.T) {
+	src := rng.New(15)
+	for _, s := range gemmShapes {
+		a := make([]float64, s.k*s.m)
+		b := make([]float64, s.k*s.n)
+		c := make([]float64, s.m*s.n)
+		fillRand(src, a)
+		fillRand(src, b)
+		fillRand(src, c)
+		for i := 0; i < len(a); i += 3 {
+			a[i] = 0 // exercise the zero skip inside a range
+		}
+		want := append([]float64(nil), c...)
+		GemmTN(want, a, b, s.m, s.n, s.k)
+		for _, parts := range []int{1, 2, 3, 7} {
+			got := append([]float64(nil), c...)
+			for i := 0; i < parts; i++ {
+				GemmTNRows(got, a, b, s.m, s.n, s.k, i*s.m/parts, (i+1)*s.m/parts)
+			}
+			bitsEqual(t, "GemmTNRows", got, want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("expected panic on a row range outside C")
+		}
+	}()
+	GemmTNRows(make([]float64, 4), make([]float64, 4), make([]float64, 4), 2, 2, 2, 1, 3)
+}
+
 func TestMatMulToMatchesMatMul(t *testing.T) {
 	src := rng.New(14)
 	a := New(9, 17)
