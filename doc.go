@@ -13,9 +13,10 @@
 // (0 = all cores) threaded through experiments.Config, the core pipeline
 // configs, toolflow.TopologySpec and the cmd/* -workers flags. Results
 // are bit-identical for any worker count: generation derives one
-// rng.Split child stream per sample index, training reduces per-sample
-// gradients in sample order from weight-aliased per-worker replicas, and
-// per-row inference outputs are index-keyed. Workers is therefore a pure
+// rng.Split child stream per sample index, and training and batched
+// inference shard each batched kernel over the workers along an axis whose
+// output elements no two shards share, so every element keeps its
+// sequential accumulation order. Workers is therefore a pure
 // throughput knob — equal seeds give equal corpora and equal networks,
 // sequential or parallel. SPECML_BENCH_SCALE and SPECML_BENCH_WORKERS
 // compose in the benchmark harness: the former picks the corpus size,

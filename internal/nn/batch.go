@@ -8,34 +8,6 @@ import (
 	"specml/internal/tensor/pool"
 )
 
-// BatchLayer is the batched fast path of a Layer: ForwardBatch and
-// BackwardBatch process a whole row-major [n x features] block in one call,
-// turning n per-sample loops into blocked GEMM kernels (im2col lowering for
-// the convolutions). Implementations guarantee BIT-IDENTICAL results to
-// looping Forward/Backward over the rows: inside every kernel each output
-// element keeps the exact accumulation order of the per-sample loops, so
-// batching is invisible to the golden-file, worker-invariance and serve
-// bitwise-identity tests.
-//
-// Like the per-sample path, the batched path is stateful: BackwardBatch
-// consumes the caches of the most recent ForwardBatch (with the same n) and
-// returned blocks are owned by the layer until its next call. Every shipped
-// layer now implements the interface — the recurrent stack included (LSTM
-// in lstm_batch.go, TimeDistributed by reshaping to [n*steps x features]
-// rows); Model keeps a per-sample fallback in forwardBatch only for
-// external layers without a kernel.
-type BatchLayer interface {
-	Layer
-	// ForwardBatch computes outputs for n samples packed row-major in x
-	// ([n x inLen]) and returns a layer-owned [n x outLen] block.
-	ForwardBatch(x []float64, n int) []float64
-	// BackwardBatch consumes dLoss/dOutput for the last ForwardBatch's n
-	// samples and returns the layer-owned [n x inLen] input-gradient block,
-	// accumulating parameter gradients exactly as n sequential Backward
-	// calls would.
-	BackwardBatch(gradOut []float64, n int) []float64
-}
-
 // zero clears a scratch slice (the batched kernels accumulate into their
 // destinations, so reused buffers must start from +0 like fresh ones).
 func zero(s []float64) {
@@ -47,7 +19,7 @@ func zero(s []float64) {
 // ---------------------------------------------------------------------------
 // Dense
 
-// ForwardBatch implements BatchLayer: one GEMM for the whole block.
+// ForwardBatch implements Layer: one GEMM for the whole block.
 func (d *Dense) ForwardBatch(x []float64, n int) []float64 {
 	d.bx = x // kept for BackwardBatch; blocks stay alive across one fwd/bwd cycle
 	d.by = pool.Grow(d.by, n*d.Out)
@@ -64,7 +36,7 @@ func (d *Dense) ForwardBatch(x []float64, n int) []float64 {
 	return d.by
 }
 
-// BackwardBatch implements BatchLayer.
+// BackwardBatch implements Layer.
 func (d *Dense) BackwardBatch(gradOut []float64, n int) []float64 {
 	// dW += dYᵀ·X with the batch as the contraction axis: every weight
 	// element receives its per-sample contributions in ascending sample
@@ -86,7 +58,7 @@ func (d *Dense) BackwardBatch(gradOut []float64, n int) []float64 {
 // ---------------------------------------------------------------------------
 // Conv1D
 
-// ForwardBatch implements BatchLayer: im2col lowering plus one blocked GEMM
+// ForwardBatch implements Layer: im2col lowering plus one blocked GEMM
 // over all samples and output positions, sharded by sample.
 func (c *Conv1D) ForwardBatch(x []float64, n int) []float64 {
 	fanIn := c.Kernel * c.inCh
@@ -120,7 +92,7 @@ func (c *Conv1D) forwardSamples(x []float64, lo, hi int) {
 	tensor.GemmNT(c.by[r0*c.Filters:r1*c.Filters], c.bcol[r0*fanIn:r1*fanIn], c.w.Data, r1-r0, c.Filters, fanIn)
 }
 
-// BackwardBatch implements BatchLayer. The weight gradient contracts the
+// BackwardBatch implements Layer. The weight gradient contracts the
 // cached im2col block against the output gradients in one GEMM, sharded by
 // filter; the input gradient keeps the per-position loop structure (GEMM +
 // Col2Im when the windows don't overlap), sharded by sample. Both preserve
@@ -243,7 +215,7 @@ func (c *Conv1D) windowGrad(win, g []float64) {
 // ---------------------------------------------------------------------------
 // LocallyConnected1D
 
-// ForwardBatch implements BatchLayer. Weights are per-position, so there is
+// ForwardBatch implements Layer. Weights are per-position, so there is
 // no single GEMM; instead the position loop moves outermost and the batch
 // innermost, streaming the (large) weight tensor once per batch instead of
 // once per sample. Each output element keeps its per-sample dot-product
@@ -273,7 +245,7 @@ func (c *LocallyConnected1D) ForwardBatch(x []float64, n int) []float64 {
 	return c.by
 }
 
-// BackwardBatch implements BatchLayer: the exact per-sample loop run over
+// BackwardBatch implements Layer: the exact per-sample loop run over
 // the cached input block, samples outermost so every gradient element
 // accumulates in ascending sample order like sequential Backward calls.
 func (c *LocallyConnected1D) BackwardBatch(gradOut []float64, n int) []float64 {
@@ -314,7 +286,7 @@ func (c *LocallyConnected1D) BackwardBatch(gradOut []float64, n int) []float64 {
 // ---------------------------------------------------------------------------
 // ActivationLayer
 
-// ForwardBatch implements BatchLayer: one pointwise pass over the block,
+// ForwardBatch implements Layer: one pointwise pass over the block,
 // sharded by sample.
 func (l *ActivationLayer) ForwardBatch(x []float64, n int) []float64 {
 	l.bx = x
@@ -334,7 +306,7 @@ func (l *ActivationLayer) forwardRange(lo, hi int) {
 	}
 }
 
-// BackwardBatch implements BatchLayer, sharded by sample.
+// BackwardBatch implements Layer, sharded by sample.
 func (l *ActivationLayer) BackwardBatch(gradOut []float64, n int) []float64 {
 	l.bgin = pool.Grow(l.bgin, n*len(l.gin))
 	if w := l.shards(n, len(gradOut)*pointwiseWork); w > 1 {
@@ -355,7 +327,7 @@ func (l *ActivationLayer) backwardRange(gradOut []float64, lo, hi int) {
 // ---------------------------------------------------------------------------
 // SoftmaxLayer
 
-// ForwardBatch implements BatchLayer: the per-group softmax of Forward, run
+// ForwardBatch implements Layer: the per-group softmax of Forward, run
 // over every row of the block.
 func (l *SoftmaxLayer) ForwardBatch(x []float64, n int) []float64 {
 	nf := len(l.y)
@@ -369,7 +341,7 @@ func (l *SoftmaxLayer) ForwardBatch(x []float64, n int) []float64 {
 	return l.by
 }
 
-// BackwardBatch implements BatchLayer.
+// BackwardBatch implements Layer.
 func (l *SoftmaxLayer) BackwardBatch(gradOut []float64, n int) []float64 {
 	nf := len(l.y)
 	l.bgin = pool.Grow(l.bgin, n*nf)
@@ -395,11 +367,10 @@ func (l *SoftmaxLayer) BackwardBatch(gradOut []float64, n int) []float64 {
 // Dropout
 
 // setBatchSources installs one mask stream per sample of the next training
-// ForwardBatch; Model.reseedDropoutBatch derives them exactly like the
-// per-sample reseedDropout so batched masks equal per-sample masks.
+// ForwardBatch; Model.reseedDropoutBatch derives them.
 func (l *Dropout) setBatchSources(srcs []*rng.Source) { l.batchSrcs = srcs }
 
-// ForwardBatch implements BatchLayer. Outside training it is the identity
+// ForwardBatch implements Layer. Outside training it is the identity
 // (no copy, like the snapshot-free inference Forward); in training each row
 // draws its mask from its own per-sample stream in element order, exactly
 // as Forward does after a per-sample Reseed.
@@ -432,7 +403,7 @@ func (l *Dropout) ForwardBatch(x []float64, n int) []float64 {
 	return l.by
 }
 
-// BackwardBatch implements BatchLayer.
+// BackwardBatch implements Layer.
 func (l *Dropout) BackwardBatch(gradOut []float64, n int) []float64 {
 	if !l.training || l.Rate == 0 {
 		return gradOut
@@ -448,22 +419,22 @@ func (l *Dropout) BackwardBatch(gradOut []float64, n int) []float64 {
 // ---------------------------------------------------------------------------
 // Shape-only layers
 
-// ForwardBatch implements BatchLayer (flat blocks make reshape a no-op).
+// ForwardBatch implements Layer (flat blocks make reshape a no-op).
 func (l *Reshape) ForwardBatch(x []float64, _ int) []float64 { return x }
 
-// BackwardBatch implements BatchLayer.
+// BackwardBatch implements Layer.
 func (l *Reshape) BackwardBatch(gradOut []float64, _ int) []float64 { return gradOut }
 
-// ForwardBatch implements BatchLayer.
+// ForwardBatch implements Layer.
 func (l *Flatten) ForwardBatch(x []float64, _ int) []float64 { return x }
 
-// BackwardBatch implements BatchLayer.
+// BackwardBatch implements Layer.
 func (l *Flatten) BackwardBatch(gradOut []float64, _ int) []float64 { return gradOut }
 
 // ---------------------------------------------------------------------------
 // Pooling
 
-// ForwardBatch implements BatchLayer.
+// ForwardBatch implements Layer.
 func (l *MaxPool1D) ForwardBatch(x []float64, n int) []float64 {
 	inSize := l.inLen * l.ch
 	oSize := l.outLen * l.ch
@@ -491,7 +462,7 @@ func (l *MaxPool1D) ForwardBatch(x []float64, n int) []float64 {
 	return l.by
 }
 
-// BackwardBatch implements BatchLayer.
+// BackwardBatch implements Layer.
 func (l *MaxPool1D) BackwardBatch(gradOut []float64, n int) []float64 {
 	inSize := l.inLen * l.ch
 	oSize := l.outLen * l.ch
@@ -508,7 +479,7 @@ func (l *MaxPool1D) BackwardBatch(gradOut []float64, n int) []float64 {
 	return l.bgin
 }
 
-// ForwardBatch implements BatchLayer.
+// ForwardBatch implements Layer.
 func (l *AvgPool1D) ForwardBatch(x []float64, n int) []float64 {
 	inSize := l.inLen * l.ch
 	oSize := l.outLen * l.ch
@@ -530,7 +501,7 @@ func (l *AvgPool1D) ForwardBatch(x []float64, n int) []float64 {
 	return l.by
 }
 
-// BackwardBatch implements BatchLayer.
+// BackwardBatch implements Layer.
 func (l *AvgPool1D) BackwardBatch(gradOut []float64, n int) []float64 {
 	inSize := l.inLen * l.ch
 	oSize := l.outLen * l.ch
@@ -560,41 +531,11 @@ func (l *AvgPool1D) BackwardBatch(gradOut []float64, n int) []float64 {
 // steady-state batching must not allocate per flush).
 var batchScratch pool.Pool
 
-// conditionalBatch is implemented by wrapper layers whose batched kernels
-// only truly batch under some condition (TimeDistributed batches when its
-// inner layer does, falling back per sample inside ForwardBatch otherwise).
-// fullyBatchable consults it so a wrapper with a per-sample core doesn't
-// masquerade as a batched stack.
-type conditionalBatch interface{ batchCapable() bool }
-
-// fullyBatchable reports whether every layer runs a real batched kernel,
-// i.e. whether training and the serve batcher can run fully batched with no
-// per-sample fallback anywhere in the stack. Inference can always use
-// forwardBatch: layers without a kernel fall back per sample inside it.
-func (m *Model) fullyBatchable() bool {
-	for _, l := range m.layers {
-		if cb, ok := l.(conditionalBatch); ok {
-			if !cb.batchCapable() {
-				return false
-			}
-			continue
-		}
-		if _, ok := l.(BatchLayer); !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// forwardBatch runs n row-major samples through the stack, using each
-// layer's batched kernel when it has one and a generic per-sample fallback
-// when it does not. A Dense layer feeding a ReLU/SELU activation runs both
-// in one pass. The returned [n x outLen] block is owned by the model's
-// layers and overwritten by the next call.
+// forwardBatch runs n row-major samples through the stack's batched
+// kernels. A Dense layer feeding a ReLU/SELU activation runs both in one
+// pass. The returned [n x outLen] block is owned by the model's layers and
+// overwritten by the next call.
 func (m *Model) forwardBatch(x []float64, n int) []float64 {
-	if m.fallbackOut == nil {
-		m.fallbackOut = make([][]float64, len(m.layers))
-	}
 	for li := 0; li < len(m.layers); li++ {
 		l := m.layers[li]
 		if li+1 < len(m.layers) {
@@ -606,21 +547,7 @@ func (m *Model) forwardBatch(x []float64, n int) []float64 {
 				}
 			}
 		}
-		if bl, ok := l.(BatchLayer); ok {
-			x = bl.ForwardBatch(x, n)
-			continue
-		}
-		in := len(x) / n
-		var out []float64
-		for s := 0; s < n; s++ {
-			o := l.Forward(x[s*in : (s+1)*in])
-			if out == nil {
-				out = pool.Grow(m.fallbackOut[li], n*len(o))
-				m.fallbackOut[li] = out
-			}
-			copy(out[s*len(o):(s+1)*len(o)], o)
-		}
-		x = out
+		x = l.ForwardBatch(x, n)
 	}
 	return x
 }
@@ -660,21 +587,20 @@ func (d *Dense) forwardBatchFused(x []float64, n int, a *ActivationLayer) []floa
 	return a.by
 }
 
-// backwardBatch propagates a [n x outLen] gradient block through a fully
-// batchable stack (callers must have checked fullyBatchable), accumulating
-// parameter gradients exactly like n sequential Backward calls.
+// backwardBatch propagates a [n x outLen] gradient block through the
+// stack, accumulating parameter gradients exactly like n sequential
+// Backward calls.
 func (m *Model) backwardBatch(gradOut []float64, n int) []float64 {
 	g := gradOut
 	for i := len(m.layers) - 1; i >= 0; i-- {
-		g = m.layers[i].(BatchLayer).BackwardBatch(g, n)
+		g = m.layers[i].BackwardBatch(g, n)
 	}
 	return g
 }
 
 // reseedDropoutBatch gives every dropout layer one mask stream per sample,
-// derived exactly like the per-sample reseedDropout (rng.New(seed) then one
-// Split per dropout layer in layer order), so batched masks are
-// bit-identical to the per-sample path's.
+// derived as rng.New(the sample's seed) followed by one Split per dropout
+// layer in layer order.
 func (m *Model) reseedDropoutBatch(seeds []uint64) {
 	var drops []*Dropout
 	for _, l := range m.layers {
@@ -694,39 +620,9 @@ func (m *Model) reseedDropoutBatch(seeds []uint64) {
 	}
 }
 
-// acquireReplicas hands out k shared replicas from the model's cached pool,
-// building missing ones. Replicas alias the master's weights (hot reloads
-// that swap the whole model never see them) and are returned with
-// releaseReplicas, so steady-state batched inference allocates nothing.
-func (m *Model) acquireReplicas(k int) ([]*Model, error) {
-	got := make([]*Model, 0, k)
-	m.repMu.Lock()
-	for len(got) < k && len(m.repFree) > 0 {
-		got = append(got, m.repFree[len(m.repFree)-1])
-		m.repFree = m.repFree[:len(m.repFree)-1]
-	}
-	m.repMu.Unlock()
-	for len(got) < k {
-		r, err := m.sharedReplica()
-		if err != nil {
-			m.releaseReplicas(got)
-			return nil, err
-		}
-		got = append(got, r)
-	}
-	return got, nil
-}
-
-// releaseReplicas returns replicas to the cache.
-func (m *Model) releaseReplicas(rs []*Model) {
-	m.repMu.Lock()
-	m.repFree = append(m.repFree, rs...)
-	m.repMu.Unlock()
-}
-
-// checkBatchInputs panics like Forward on a row of the wrong width, from
-// the caller's goroutine so the serve dispatcher's recover can turn it into
-// a batch error instead of a worker-goroutine crash.
+// checkBatchInputs panics like Forward on a row of the wrong width, before
+// any kernel runs, so the serve dispatcher's recover turns it into a batch
+// error.
 func (m *Model) checkBatchInputs(x [][]float64) {
 	inLen := m.InputLen()
 	for _, row := range x {

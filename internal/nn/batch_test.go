@@ -7,7 +7,7 @@ import (
 	"specml/internal/rng"
 )
 
-// batchSizes are the block widths every BatchLayer implementation is checked
+// batchSizes are the block widths every layer's batched kernels are checked
 // at: a single row, an odd remainder-style batch, and the default training
 // batch size.
 var batchSizes = []int{1, 7, 32}
@@ -63,8 +63,8 @@ func expectBits(t *testing.T, name string, got, want []float64) {
 	}
 }
 
-// TestBatchLayerEquivalence pins the tentpole contract: for every BatchLayer
-// implementation, ForwardBatch/BackwardBatch over a block is bit-identical —
+// TestBatchLayerEquivalence pins the batched contract of Layer: for every
+// layer, ForwardBatch/BackwardBatch over a block is bit-identical —
 // outputs, input gradients, and accumulated parameter gradients — to looping
 // per-sample Forward/Backward over the rows.
 func TestBatchLayerEquivalence(t *testing.T) {
@@ -81,10 +81,6 @@ func TestBatchLayerEquivalence(t *testing.T) {
 				}
 				batch := build()
 				ref := build()
-				bl, ok := batch.(BatchLayer)
-				if !ok {
-					t.Fatalf("%T does not implement BatchLayer", batch)
-				}
 
 				inLen := shapeLen(tc.shape)
 				// infer the output length from one reference forward
@@ -107,8 +103,8 @@ func TestBatchLayerEquivalence(t *testing.T) {
 					d.setBatchSources(srcs)
 				}
 
-				yb := bl.ForwardBatch(xb, n)
-				ginb := bl.BackwardBatch(gb, n)
+				yb := batch.ForwardBatch(xb, n)
+				ginb := batch.BackwardBatch(gb, n)
 
 				refY := make([]float64, n*outLen)
 				refGin := make([]float64, n*inLen)
@@ -192,9 +188,6 @@ func TestBatchedConvGradcheck(t *testing.T) {
 	if err := m.Build(rng.New(5), 20); err != nil {
 		t.Fatal(err)
 	}
-	if !m.fullyBatchable() {
-		t.Fatalf("conv stack should be batchable")
-	}
 	const n = 3
 	inLen, outLen := m.InputLen(), m.OutputLen()
 	src := rng.New(6)
@@ -247,6 +240,18 @@ func TestBatchedConvGradcheck(t *testing.T) {
 	}
 }
 
+// reseedDropout gives every dropout layer a fresh stream derived from seed
+// (one Split per layer, in layer order): the per-sample reference for the
+// batched reseedDropoutBatch.
+func (m *Model) reseedDropout(seed uint64) {
+	src := rng.New(seed)
+	for _, l := range m.layers {
+		if d, ok := l.(*Dropout); ok {
+			d.Reseed(src.Split())
+		}
+	}
+}
+
 // TestReseedDropoutBatchMatchesPerSample checks that a multi-dropout model
 // produces bit-identical training-mode outputs through the batched path and
 // the per-sample reseed path for the same seed sequence.
@@ -289,9 +294,8 @@ func TestReseedDropoutBatchMatchesPerSample(t *testing.T) {
 }
 
 // TestPredictBatchLSTMBatched pins the batched recurrent engine's serving
-// contract: an LSTM stack is now fully batchable (no per-sample fallback in
-// PredictBatch or the serve batcher), and the batched kernels stay bitwise
-// identical to Predict for any worker count.
+// contract: the batched kernels stay bitwise identical to Predict for any
+// worker count.
 func TestPredictBatchLSTMBatched(t *testing.T) {
 	m := NewModel().
 		Add(NewReshape(6, 4)).
@@ -299,9 +303,6 @@ func TestPredictBatchLSTMBatched(t *testing.T) {
 		Add(NewDense(3))
 	if err := m.Build(rng.New(9), 24); err != nil {
 		t.Fatal(err)
-	}
-	if !m.fullyBatchable() {
-		t.Fatalf("LSTM stack must be fully batchable")
 	}
 	src := rng.New(10)
 	rows := make([][]float64, 11)
@@ -325,44 +326,6 @@ func TestPredictBatchLSTMBatched(t *testing.T) {
 		for i := range rows {
 			expectBits(t, "row "+itoa(i), got[i], want[i])
 		}
-	}
-}
-
-// perSampleOnly hides a layer's batched kernels, exposing only the Layer
-// interface. Every shipped layer now implements BatchLayer, so the
-// forwardBatch per-sample fallback and the replica wave path in fitSource
-// are kept covered through this wrapper.
-type perSampleOnly struct{ Layer }
-
-// TestPredictBatchFallbackLayer exercises the per-sample fallback inside the
-// batch driver with a layer that has no batched kernel.
-func TestPredictBatchFallbackLayer(t *testing.T) {
-	m := NewModel().
-		Add(NewDense(16)).
-		Add(&perSampleOnly{NewActivation(SELU)}).
-		Add(NewDense(5))
-	if err := m.Build(rng.New(11), 13); err != nil {
-		t.Fatal(err)
-	}
-	if m.fullyBatchable() {
-		t.Fatalf("wrapped stack must not be fully batchable")
-	}
-	src := rng.New(12)
-	rows := make([][]float64, 9)
-	for i := range rows {
-		rows[i] = make([]float64, 13)
-		fillBatch(src, rows[i])
-	}
-	want := make([][]float64, len(rows))
-	for i, r := range rows {
-		want[i] = m.Predict(r)
-	}
-	got, err := m.PredictBatch(rows, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range rows {
-		expectBits(t, "row "+itoa(i), got[i], want[i])
 	}
 }
 

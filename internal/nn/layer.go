@@ -27,9 +27,23 @@ func (p *Param) ZeroGrad() {
 }
 
 // Layer is one stage of a feed-forward network. Layers are stateful: Build
-// fixes shapes and allocates parameters, Forward caches whatever Backward
-// needs, and Backward consumes the most recent Forward's cache. A layer
-// instance therefore serves one goroutine at a time.
+// fixes shapes and allocates parameters, a forward pass caches whatever the
+// matching backward pass needs, and the backward pass consumes the most
+// recent forward's cache. A layer instance therefore serves one goroutine
+// at a time.
+//
+// ForwardBatch and BackwardBatch are the path every model driver runs —
+// training, PredictBatch and the chunked evaluators. They process a whole
+// row-major [n x features] block in one call, turning n per-sample loops
+// into blocked kernels (im2col + GEMM for the convolutions), and they are
+// BIT-IDENTICAL to looping Forward/Backward over the rows: inside every
+// kernel each output element keeps the exact accumulation order of the
+// per-sample loops, so batching is invisible to the golden-file,
+// worker-invariance and serve bitwise-identity tests. BackwardBatch
+// consumes the caches of the most recent ForwardBatch with the same n, and
+// returned blocks are owned by the layer until its next call. The
+// per-sample Forward/Backward pair is the reference those tests compare
+// against; Model.Predict and the materialized evaluators also run it.
 type Layer interface {
 	// Kind returns the canonical layer-type name ("dense", "conv1d", ...).
 	Kind() string
@@ -42,6 +56,14 @@ type Layer interface {
 	// Backward receives dLoss/dOutput and returns dLoss/dInput, adding
 	// parameter gradients into Params' Grad buffers.
 	Backward(gradOut []float64) []float64
+	// ForwardBatch computes outputs for n samples packed row-major in x
+	// ([n x inLen]) and returns a layer-owned [n x outLen] block.
+	ForwardBatch(x []float64, n int) []float64
+	// BackwardBatch consumes dLoss/dOutput for the last ForwardBatch's n
+	// samples and returns the layer-owned [n x inLen] input-gradient block,
+	// accumulating parameter gradients exactly as n sequential Backward
+	// calls would.
+	BackwardBatch(gradOut []float64, n int) []float64
 	// Params returns the trainable parameters (nil for stateless layers).
 	Params() []*Param
 	// Spec returns a serializable description of the layer configuration
@@ -392,10 +414,9 @@ func (l *Dropout) Build(src *rng.Source, inputShape []int) ([]int, error) {
 // SetTraining toggles training mode.
 func (l *Dropout) SetTraining(training bool) { l.training = training }
 
-// Reseed replaces the mask stream with a fresh deterministic source. The
-// data-parallel trainer reseeds every dropout layer per sample (seeds drawn
-// in sample order from the fit's seed), which makes the masks — and hence
-// the whole fit — independent of which worker processes which sample.
+// Reseed replaces the mask stream with a fresh deterministic source.
+// Reseeding before each sample's Forward draws the masks a batched
+// training step draws from its per-sample streams (reseedDropoutBatch).
 func (l *Dropout) Reseed(src *rng.Source) { l.src = src }
 
 // Forward implements Layer.

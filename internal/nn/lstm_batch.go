@@ -26,22 +26,17 @@ import (
 // term for term. All scratch is grow-only: steady-state batches allocate
 // nothing.
 
-// ForwardBatch implements BatchLayer: bit-identical to looping Forward over
+// ForwardBatch implements Layer: bit-identical to looping Forward over
 // the n rows, per the single-accumulator ascending-k contract above.
 func (l *LSTM) ForwardBatch(x []float64, n int) []float64 {
 	u, fts := l.Units, l.features
 	rows := n * l.steps
 	l.bxT = pool.Grow(l.bxT, rows*fts)
-	for s := 0; s < n; s++ {
-		for t := 0; t < l.steps; t++ {
-			copy(l.bxT[(t*n+s)*fts:(t*n+s+1)*fts], x[(s*l.steps+t)*fts:(s*l.steps+t+1)*fts])
-		}
-	}
 	l.bz = pool.Grow(l.bz, rows*4*u)
 	if w := l.shards(rows, rows*4*u*fts); w > 1 {
-		runShards(w, rows, l.inputProjection)
+		runShards(w, rows, func(r0, r1 int) { l.inputProjection(x, n, r0, r1) })
 	} else {
-		l.inputProjection(0, rows)
+		l.inputProjection(x, n, 0, rows)
 	}
 	l.bhs = pool.Grow(l.bhs, (l.steps+1)*n*u)
 	l.bcs = pool.Grow(l.bcs, (l.steps+1)*n*u)
@@ -61,13 +56,17 @@ func (l *LSTM) ForwardBatch(x []float64, n int) []float64 {
 	return l.bhs[l.steps*n*u : (l.steps+1)*n*u]
 }
 
-// inputProjection fills gate rows [r0, r1) with bias + x·Wx. The gate block
-// is seeded with the bias, exactly like the per-sample accumulator; the
-// hoisted GEMM then adds every x product in ascending feature order for all
-// the rows at once.
-func (l *LSTM) inputProjection(r0, r1 int) {
+// inputProjection fills gate rows [r0, r1) with bias + x·Wx. It first
+// copies those rows of the sample-major input x into the time-major bxT
+// (row r is timestep r/n of sample r%n), which BackwardBatch reads too. The
+// gate block is seeded with the bias, exactly like the per-sample
+// accumulator; the hoisted GEMM then adds every x product in ascending
+// feature order for all the rows at once.
+func (l *LSTM) inputProjection(x []float64, n, r0, r1 int) {
 	g, fts := 4*l.Units, l.features
 	for r := r0; r < r1; r++ {
+		t, s := r/n, r%n
+		copy(l.bxT[r*fts:(r+1)*fts], x[(s*l.steps+t)*fts:(s*l.steps+t+1)*fts])
 		copy(l.bz[r*g:(r+1)*g], l.b.Data)
 	}
 	tensor.GemmNT(l.bz[r0*g:r1*g], l.bxT[r0*fts:r1*fts], l.wx.Data, r1-r0, g, fts)
@@ -94,7 +93,7 @@ func lstmGateBlock(g, h, cNew, cPrev []float64, n, u int) {
 	}
 }
 
-// BackwardBatch implements BatchLayer (batched BPTT). The t-descending sweep
+// BackwardBatch implements Layer (batched BPTT). The t-descending sweep
 // computes the gate gradients elementwise and propagates dh/dx through
 // Gemm, whose zero-skip matches the per-sample `if d == 0` skip. Parameter
 // gradients must arrive in the order n sequential Backward calls produce —

@@ -65,9 +65,6 @@ func TestLSTMBatchGradcheck(t *testing.T) {
 	if err := m.Build(rng.New(23), 20); err != nil {
 		t.Fatal(err)
 	}
-	if !m.fullyBatchable() {
-		t.Fatalf("LSTM stack should be fully batchable")
-	}
 	const n = 3
 	inLen, outLen := m.InputLen(), m.OutputLen()
 	src := rng.New(24)
@@ -122,7 +119,7 @@ func TestLSTMBatchGradcheck(t *testing.T) {
 
 // TestHybridStackFullyBatchable pins the paper's hybrid future-work stack
 // (TimeDistributed feature selector into an LSTM) on the batched engine:
-// fully batchable, and PredictBatch stays bitwise equal to Predict.
+// PredictBatch stays bitwise equal to Predict.
 func TestHybridStackFullyBatchable(t *testing.T) {
 	m := NewModel().
 		Add(NewReshape(6, 10)).
@@ -131,9 +128,6 @@ func TestHybridStackFullyBatchable(t *testing.T) {
 		Add(NewDense(2))
 	if err := m.Build(rng.New(31), 60); err != nil {
 		t.Fatal(err)
-	}
-	if !m.fullyBatchable() {
-		t.Fatalf("hybrid TimeDistributed+LSTM stack should be fully batchable")
 	}
 	src := rng.New(32)
 	rows := make([][]float64, 10)
@@ -153,52 +147,6 @@ func TestHybridStackFullyBatchable(t *testing.T) {
 		for i := range rows {
 			expectBits(t, "row "+itoa(i), got[i], want[i])
 		}
-	}
-}
-
-// TestTimeDistributedNonBatchInnerFallback covers the wrapper's internal
-// per-sample fallback: with an inner layer hiding its batched kernel the
-// stack is not fully batchable, yet TimeDistributed's ForwardBatch and
-// BackwardBatch still match the per-sample loop bitwise.
-func TestTimeDistributedNonBatchInnerFallback(t *testing.T) {
-	const steps, features, innerOut = 4, 6, 3
-	build := func(wrap bool) *TimeDistributed {
-		var inner Layer = NewDense(innerOut)
-		if wrap {
-			inner = &perSampleOnly{inner}
-		}
-		td := NewTimeDistributed(inner)
-		if _, err := td.Build(rng.New(41), []int{steps, features}); err != nil {
-			t.Fatalf("build: %v", err)
-		}
-		return td
-	}
-	batch, ref := build(true), build(false)
-	if batch.batchCapable() {
-		t.Fatalf("wrapped inner must not report batchCapable")
-	}
-	const n = 7
-	inLen, outLen := steps*features, steps*innerOut
-	src := rng.New(42)
-	xb := make([]float64, n*inLen)
-	gb := make([]float64, n*outLen)
-	fillBatch(src, xb)
-	fillBatch(src, gb)
-
-	yb := batch.ForwardBatch(xb, n)
-	ginb := batch.BackwardBatch(gb, n)
-
-	refY := make([]float64, n*outLen)
-	refGin := make([]float64, n*inLen)
-	for s := 0; s < n; s++ {
-		copy(refY[s*outLen:(s+1)*outLen], ref.Forward(xb[s*inLen:(s+1)*inLen]))
-		copy(refGin[s*inLen:(s+1)*inLen], ref.Backward(gb[s*outLen:(s+1)*outLen]))
-	}
-	expectBits(t, "forward", yb, refY)
-	expectBits(t, "backward", ginb, refGin)
-	bp, rp := batch.Params(), ref.Params()
-	for i := range bp {
-		expectBits(t, bp[i].Name+" grad", bp[i].Grad, rp[i].Grad)
 	}
 }
 
@@ -230,7 +178,7 @@ func TestFusedDenseActivation(t *testing.T) {
 	yb := fused.forwardBatch(xb, n)
 	refY := xb
 	for _, l := range ref.Layers() {
-		refY = l.(BatchLayer).ForwardBatch(refY, n)
+		refY = l.ForwardBatch(refY, n)
 	}
 	expectBits(t, "forward", yb, refY)
 

@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"specml/internal/parallel"
 	"specml/internal/rng"
@@ -15,15 +14,6 @@ type Model struct {
 	inputShape  []int
 	outputShape []int
 	built       bool
-
-	// Cached shared replicas for data-parallel PredictBatch, recycled
-	// across calls so steady-state batched inference allocates nothing.
-	repMu   sync.Mutex
-	repFree []*Model
-
-	// Per-layer output blocks for the batched forward's per-sample
-	// fallback (layers without a batched kernel).
-	fallbackOut [][]float64
 
 	// params caches the flattened parameter list once built (the layer
 	// stack is immutable after Build), so per-batch ZeroGrad calls don't
@@ -204,39 +194,8 @@ func (m *Model) Clone() (*Model, error) {
 	return c, nil
 }
 
-// sharedReplica returns a model with the same architecture whose parameter
-// Data slices alias the receiver's — weights are shared read-only and stay
-// in sync with the receiver at zero copy cost — while gradient buffers and
-// all layer caches (activations, dropout masks, LSTM state) are private.
-// Replicas back the data-parallel paths of Fit and PredictBatch: one
-// replica per worker, each serving one goroutine at a time.
-func (m *Model) sharedReplica() (*Model, error) {
-	c, err := m.Clone()
-	if err != nil {
-		return nil, err
-	}
-	src, dst := m.Params(), c.Params()
-	for i := range src {
-		dst[i].Data = src[i].Data
-	}
-	return c, nil
-}
-
-// replicaPool builds n shared replicas of the model.
-func (m *Model) replicaPool(n int) ([]*Model, error) {
-	pool := make([]*Model, n)
-	for i := range pool {
-		r, err := m.sharedReplica()
-		if err != nil {
-			return nil, err
-		}
-		pool[i] = r
-	}
-	return pool, nil
-}
-
-// hasDropout reports whether any layer needs per-sample mask reseeding
-// during data-parallel training.
+// hasDropout reports whether any layer needs per-sample mask streams
+// during training.
 func (m *Model) hasDropout() bool {
 	for _, l := range m.layers {
 		if _, ok := l.(*Dropout); ok {
@@ -246,24 +205,18 @@ func (m *Model) hasDropout() bool {
 	return false
 }
 
-// reseedDropout gives every dropout layer a fresh stream derived from
-// seed (one Split per layer, in layer order).
-func (m *Model) reseedDropout(seed uint64) {
-	src := rng.New(seed)
-	for _, l := range m.layers {
-		if d, ok := l.(*Dropout); ok {
-			d.Reseed(src.Split())
-		}
-	}
-}
-
 // PredictBatch runs inference over all rows of x, returning one freshly
 // allocated prediction per row. The rows are packed into one block and
-// forwarded through the batched kernels (im2col + blocked GEMM), which are
-// bit-identical to calling Predict row by row. With workers > 1 (0 = all
-// cores) the block is sharded into contiguous row ranges, each forwarded
-// through a cached shared replica, so the receiver's caches are never
-// touched and steady-state calls allocate only the returned slices.
+// forwarded once through the batched kernels (im2col + blocked GEMM),
+// which are bit-identical to calling Predict row by row. The convolution,
+// activation and LSTM kernels shard each call over workers goroutines
+// (0 = all cores, at most one per row), exactly as they do inside a fit,
+// so the result does not depend on workers. Steady-state calls allocate
+// only the returned slices.
+//
+// PredictBatch runs on the model's own layer caches, so a model serves one
+// PredictBatch at a time: the serve registry calls it from the one
+// dispatcher goroutine of each model, and core calls it serially.
 func (m *Model) PredictBatch(x [][]float64, workers int) ([][]float64, error) {
 	if !m.built {
 		return nil, fmt.Errorf("nn: PredictBatch before Build")
@@ -278,40 +231,23 @@ func (m *Model) PredictBatch(x [][]float64, workers int) ([][]float64, error) {
 	if w > len(x) {
 		w = len(x)
 	}
+	// Deferred, so a panic the serve dispatcher recovers leaves the model
+	// serial and out of inference mode.
+	m.setKernelWorkers(w)
+	defer m.setKernelWorkers(1)
+	m.SetTraining(false)
+	m.setInference(true)
+	defer m.setInference(false)
 	xb := batchScratch.Get(len(x) * inLen)
 	defer batchScratch.Put(xb)
 	for i, row := range x {
 		copy(xb[i*inLen:(i+1)*inLen], row)
 	}
-	runShard := func(mm *Model, lo, hi int) {
-		mm.SetTraining(false)
-		mm.setInference(true)
-		yb := mm.forwardBatch(xb[lo*inLen:hi*inLen], hi-lo)
-		mm.setInference(false)
-		for s := lo; s < hi; s++ {
-			res := make([]float64, outLen)
-			copy(res, yb[(s-lo)*outLen:(s-lo+1)*outLen])
-			out[s] = res
-		}
-	}
-	if w == 1 {
-		runShard(m, 0, len(x))
-		return out, nil
-	}
-	reps, err := m.acquireReplicas(w)
-	if err != nil {
-		return nil, err
-	}
-	defer m.releaseReplicas(reps)
-	err = parallel.For(w, w, func(_, shard int) error {
-		lo, hi := shard*len(x)/w, (shard+1)*len(x)/w
-		if lo < hi {
-			runShard(reps[shard], lo, hi)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	yb := m.forwardBatch(xb, len(x))
+	for s := range out {
+		res := make([]float64, outLen)
+		copy(res, yb[s*outLen:(s+1)*outLen])
+		out[s] = res
 	}
 	return out, nil
 }

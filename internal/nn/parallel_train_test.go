@@ -215,8 +215,8 @@ func TestShardedStepMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestBatchStepZeroAlloc pins the serial kernel path — the one replicas,
-// PredictBatch and the serve batcher run — at zero allocations for a
+// TestBatchStepZeroAlloc pins the serial kernel path — the one PredictBatch
+// and the serve batcher run at one worker — at zero allocations for a
 // batched forward+backward step on a conv stack and on an LSTM stack.
 func TestBatchStepZeroAlloc(t *testing.T) {
 	for _, st := range []struct {
@@ -244,27 +244,93 @@ func TestBatchStepZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestPredictBatchMatchesPredict checks batched inference returns exactly
-// what sequential Predict does, for several worker counts.
-func TestPredictBatchMatchesPredict(t *testing.T) {
-	m := dropNet(t)
-	x, _ := parallelFitData(25, 12, 3, 9)
-	want := make([][]float64, len(x))
-	for i := range x {
-		want[i] = m.Predict(x[i])
+// nmrCNNNet is a stack of the paper's NMR CNN shape: reshape, a locally
+// connected layer with kernel and stride 9, flatten and a dense head.
+func nmrCNNNet(t *testing.T) *Model {
+	t.Helper()
+	m := NewModel().
+		Add(NewReshape(900, 1)).
+		Add(NewLocallyConnected1D(4, 9, 9)).
+		Add(NewFlatten()).
+		Add(NewDense(4))
+	if err := m.Build(rng.New(10), 900); err != nil {
+		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 7, 0} {
-		got, err := m.PredictBatch(x, workers)
-		if err != nil {
-			t.Fatal(err)
+	return m
+}
+
+// kernelWorkers returns the kernel worker count of every sharding layer:
+// given unlimited units and work, shards returns exactly that count.
+func kernelWorkers(m *Model) []int {
+	var ws []int
+	for _, l := range m.Layers() {
+		if ks, ok := l.(interface{ shards(units, work int) int }); ok {
+			ws = append(ws, ks.shards(math.MaxInt32, math.MaxInt64))
 		}
-		for i := range got {
-			for j := range got[i] {
-				if got[i][j] != want[i][j] {
-					t.Fatalf("workers=%d: sample %d output %d = %x, want %x", workers, i, j, got[i][j], want[i][j])
+	}
+	return ws
+}
+
+// TestPredictBatchMatchesPredict checks that batched inference returns
+// exactly what sequential Predict does, for several worker counts, on a
+// conv stack, an NMR-CNN stack and an LSTM stack; that PredictBatch leaves
+// every kernel serial; and that it allocates only what it returns.
+func TestPredictBatchMatchesPredict(t *testing.T) {
+	const rows = 9
+	stacks := []struct {
+		name  string
+		build func(*testing.T) *Model
+	}{
+		{"conv", shardConvNet},
+		{"nmr-cnn", nmrCNNNet},
+		{"lstm", shardLSTMNet},
+	}
+	for _, st := range stacks {
+		t.Run(st.name, func(t *testing.T) {
+			m := st.build(t)
+			x, _ := parallelFitData(rows, m.InputLen(), 3, 9)
+			want := make([][]float64, len(x))
+			for i := range x {
+				want[i] = m.Predict(x[i])
+			}
+			for _, workers := range []int{1, 2, 3, 8, 0} {
+				got, err := m.PredictBatch(x, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range got {
+					expectBits(t, fmt.Sprintf("workers=%d sample %d", workers, i), got[i], want[i])
+				}
+				for _, w := range kernelWorkers(m) {
+					if w != 1 {
+						t.Fatalf("workers=%d: a kernel worker count is %d after PredictBatch, want 1", workers, w)
+					}
 				}
 			}
+			// Steady state allocates only the returned slices.
+			allocs := testing.AllocsPerRun(20, func() {
+				if _, err := m.PredictBatch(x, 1); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if want := float64(len(x) + 1); allocs != want {
+				t.Errorf("%v allocations per PredictBatch, want %v", allocs, want)
+			}
+		})
+	}
+
+	// The conv and LSTM stacks must really split at two workers.
+	two := &kernelShards{workers: 2}
+	conv := shardConvNet(t).Layers()
+	for _, i := range []int{1, 3} {
+		c := conv[i].(*Conv1D)
+		if w := two.shards(rows, rows*c.outLen*c.Filters*c.Kernel*c.inCh); w != 2 {
+			t.Errorf("conv %d forward split into %d shards, want 2", i, w)
 		}
+	}
+	l := shardLSTMNet(t).Layers()[0].(*LSTM)
+	if w := two.shards(rows*l.steps, rows*l.steps*4*l.Units*l.features); w != 2 {
+		t.Errorf("lstm input projection split into %d shards, want 2", w)
 	}
 }
 

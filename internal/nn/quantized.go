@@ -37,9 +37,9 @@ type QuantizedModel struct {
 }
 
 // qStep is one layer of the quantized forward pass over a row-major
-// [n x features] block.
+// [n x features] block: an int8 kernel, or a float Layer's batched kernel.
 type qStep interface {
-	forward(x []float64, n int) []float64
+	ForwardBatch(x []float64, n int) []float64
 }
 
 // Quantize builds the int8 engine from a trained model. The model must be
@@ -67,7 +67,7 @@ func Quantize(m *Model) (*QuantizedModel, error) {
 			q.steps = append(q.steps, newQConv1D(v))
 			q.nQuant++
 		default:
-			q.steps = append(q.steps, &qFloat{l: l})
+			q.steps = append(q.steps, l)
 		}
 	}
 	return q, nil
@@ -97,7 +97,7 @@ func (q *QuantizedModel) QuantizedLayers() int { return q.nQuant }
 // the next call.
 func (q *QuantizedModel) forwardBatch(x []float64, n int) []float64 {
 	for _, st := range q.steps {
-		x = st.forward(x, n)
+		x = st.ForwardBatch(x, n)
 	}
 	return x
 }
@@ -173,7 +173,7 @@ func newQDense(d *Dense) *qDense {
 	return q
 }
 
-func (q *qDense) forward(x []float64, n int) []float64 {
+func (q *qDense) ForwardBatch(x []float64, n int) []float64 {
 	q.qx = pool.Grow8(q.qx, n*q.kp)
 	q.xs = pool.Grow(q.xs, n)
 	q.acc = pool.Grow32(q.acc, n*q.out)
@@ -240,7 +240,7 @@ func newQConv1D(c *Conv1D) *qConv1D {
 	return q
 }
 
-func (q *qConv1D) forward(x []float64, n int) []float64 {
+func (q *qConv1D) ForwardBatch(x []float64, n int) []float64 {
 	rows := n * q.outLen
 	q.qx = pool.Grow8(q.qx, n*q.inSize)
 	q.xs = pool.Grow(q.xs, n)
@@ -266,32 +266,4 @@ func (q *qConv1D) forward(x []float64, n int) []float64 {
 		}
 	}
 	return q.y
-}
-
-// ---------------------------------------------------------------------------
-// Float fallback
-
-// qFloat runs a layer's float path inside the quantized forward: the
-// batched kernel when the layer has one, otherwise the per-sample loop
-// (mirroring Model.forwardBatch's fallback).
-type qFloat struct {
-	l   Layer
-	out []float64
-}
-
-func (q *qFloat) forward(x []float64, n int) []float64 {
-	if bl, ok := q.l.(BatchLayer); ok {
-		return bl.ForwardBatch(x, n)
-	}
-	in := len(x) / n
-	var out []float64
-	for s := 0; s < n; s++ {
-		o := q.l.Forward(x[s*in : (s+1)*in])
-		if out == nil {
-			out = pool.Grow(q.out, n*len(o))
-			q.out = out
-		}
-		copy(out[s*len(o):(s+1)*len(o)], o)
-	}
-	return out
 }

@@ -4,7 +4,7 @@ import "testing"
 
 // Int8 counterparts of BenchmarkBatchForwardDense32/Conv32: same models,
 // same batch-32 block, quantized engine. BENCH_kernels.json records the
-// speedup_vs_float of each pair under the benchcmp kernels gate.
+// speedup_vs_float of each pair.
 
 func BenchmarkQuantForwardDense32(b *testing.B) {
 	m := benchDenseModel(b)

@@ -78,8 +78,8 @@ func (q *QuantizedModel) Save(w io.Writer) error {
 				Weights: packCodes(v.w, v.filters, v.fanIn, v.kp),
 				Bias:    v.b,
 			})
-		case *qFloat:
-			for _, p := range v.l.Params() {
+		case Layer:
+			for _, p := range v.Params() {
 				sm.FloatWeights = append(sm.FloatWeights, p.Data)
 			}
 		}
@@ -203,7 +203,7 @@ func LoadQuantized(r io.Reader) (*QuantizedModel, error) {
 					return nil, err
 				}
 			}
-			q.steps = append(q.steps, &qFloat{l: l})
+			q.steps = append(q.steps, l)
 		}
 	}
 	if nextFloat != len(sm.FloatWeights) {

@@ -184,60 +184,29 @@ func (m *Model) fitSource(src dataset.Source, cfg FitConfig, validate bool) (*Hi
 		return hist, nil
 	}
 
-	// Fully batchable stacks — every shipped stack — train through the
-	// blocked-GEMM kernels on the master model, with the kernels sharded
-	// over the workers; stacks with a layer lacking a batched kernel get one
-	// replica per worker instead. Both paths keep the per-sample
-	// accumulation order, so the fit stays bit-identical for any Workers
-	// value (see Fit).
-	workers := parallel.Resolve(cfg.Workers)
-	if workers > cfg.BatchSize {
-		workers = cfg.BatchSize
-	}
-	if workers > n {
-		workers = n
-	}
-	batched := m.fullyBatchable()
-	if batched {
-		// The batched kernels shard each call over the workers (shard.go);
-		// everything that runs the model after the fit gets serial kernels.
-		m.setKernelWorkers(parallel.Resolve(cfg.Workers))
-		defer m.setKernelWorkers(1)
-	}
+	// Each mini-batch runs one batched forward/backward on the model, with
+	// the kernels sharded over the workers (shard.go); the sharding keeps
+	// the per-sample accumulation order, so the fit is bit-identical for any
+	// Workers value. Everything that runs the model after the fit gets
+	// serial kernels.
+	m.setKernelWorkers(parallel.Resolve(cfg.Workers))
+	defer m.setKernelWorkers(1)
 	maxB := cfg.BatchSize
 	if maxB > n {
 		maxB = n
 	}
-	var (
-		replicas      []*Model
-		replicaParams [][]*Param
-		gradBufs      [][]float64
-		waveLoss      []float64
-		dropSeeds     []uint64
-
-		xblock, gblock []float64
-		batchSeeds     []uint64
-	)
-	if batched {
-		xblock = make([]float64, maxB*inLen)
-		gblock = make([]float64, maxB*outLen)
-		if hasDrop {
-			batchSeeds = make([]uint64, maxB)
-		}
-	} else {
+	xblock := make([]float64, maxB*inLen)
+	gblock := make([]float64, maxB*outLen)
+	var batchSeeds []uint64
+	if hasDrop {
+		batchSeeds = make([]uint64, maxB)
+	}
+	var val dataset.Source
+	if len(cfg.ValX) > 0 {
 		var err error
-		replicas, err = m.replicaPool(workers)
-		if err != nil {
-			return nil, err
+		if val, err = dataset.NewInMemory(cfg.ValX, cfg.ValY); err != nil {
+			return nil, fmt.Errorf("nn: validation data: %w", err)
 		}
-		replicaParams = make([][]*Param, workers)
-		gradBufs = make([][]float64, workers)
-		for i, r := range replicas {
-			replicaParams[i] = r.Params()
-			gradBufs[i] = make([]float64, outLen)
-		}
-		waveLoss = make([]float64, workers)
-		dropSeeds = make([]uint64, workers)
 	}
 
 	var mx *fitMetrics
@@ -344,9 +313,6 @@ func (m *Model) fitSource(src dataset.Source, cfg FitConfig, validate bool) (*Hi
 			cfg.Optimizer.(LRSettable).SetLR(cfg.LRSchedule(epoch))
 		}
 		m.SetTraining(true)
-		for _, r := range replicas {
-			r.SetTraining(true)
-		}
 		epochLoss := 0.0
 		for start := 0; start < n; start += cfg.BatchSize {
 			var waitStart time.Time
@@ -367,66 +333,27 @@ func (m *Model) fitSource(src dataset.Source, cfg FitConfig, validate bool) (*Hi
 			}
 			bn := sl.n
 			m.ZeroGrad()
-			if batched {
-				// Assemble the mini-batch into one row-major block and run a
-				// single batched forward/backward. Dropout seeds are drawn in
-				// sample order from the same root as the wave path, and the
-				// losses accumulate in sample order, so shuffling, masks and
-				// epoch loss all match the per-sample path exactly.
-				for j := 0; j < bn; j++ {
-					copy(xblock[j*inLen:(j+1)*inLen], sl.x[j])
-				}
-				if hasDrop {
-					for j := 0; j < bn; j++ {
-						batchSeeds[j] = dropRoot.Uint64()
-					}
-					m.reseedDropoutBatch(batchSeeds[:bn])
-				}
-				yb := m.forwardBatch(xblock[:bn*inLen], bn)
-				for j := 0; j < bn; j++ {
-					row := yb[j*outLen : (j+1)*outLen]
-					epochLoss += cfg.Loss.Loss(row, sl.y[j])
-					cfg.Loss.Grad(row, sl.y[j], gblock[j*outLen:(j+1)*outLen])
-				}
-				m.backwardBatch(gblock[:bn*outLen], bn)
-			} else {
-				// Waves of `workers` samples on weight-aliased replicas with a
-				// deterministic sample-order reduction (see Fit).
-				for wstart := 0; wstart < bn; wstart += workers {
-					wn := workers
-					if bn-wstart < wn {
-						wn = bn - wstart
-					}
-					if hasDrop {
-						for j := 0; j < wn; j++ {
-							dropSeeds[j] = dropRoot.Uint64()
-						}
-					}
-					if err := parallel.For(wn, wn, func(_, j int) error {
-						r := replicas[j]
-						r.ZeroGrad()
-						if hasDrop {
-							r.reseedDropout(dropSeeds[j])
-						}
-						out := r.Forward(sl.x[wstart+j])
-						waveLoss[j] = cfg.Loss.Loss(out, sl.y[wstart+j])
-						cfg.Loss.Grad(out, sl.y[wstart+j], gradBufs[j])
-						r.Backward(gradBufs[j])
-						return nil
-					}); err != nil {
-						return nil, err
-					}
-					for j := 0; j < wn; j++ {
-						epochLoss += waveLoss[j]
-						rp := replicaParams[j]
-						for pi, p := range masterParams {
-							for gi, g := range rp[pi].Grad {
-								p.Grad[gi] += g
-							}
-						}
-					}
-				}
+			// Assemble the mini-batch into one row-major block and run a
+			// single batched forward/backward. Dropout seeds are drawn in
+			// sample order, and the losses accumulate in sample order, so
+			// shuffling, masks and epoch loss match per-sample training
+			// exactly.
+			for j := 0; j < bn; j++ {
+				copy(xblock[j*inLen:(j+1)*inLen], sl.x[j])
 			}
+			if hasDrop {
+				for j := 0; j < bn; j++ {
+					batchSeeds[j] = dropRoot.Uint64()
+				}
+				m.reseedDropoutBatch(batchSeeds[:bn])
+			}
+			yb := m.forwardBatch(xblock[:bn*inLen], bn)
+			for j := 0; j < bn; j++ {
+				row := yb[j*outLen : (j+1)*outLen]
+				epochLoss += cfg.Loss.Loss(row, sl.y[j])
+				cfg.Loss.Grad(row, sl.y[j], gblock[j*outLen:(j+1)*outLen])
+			}
+			m.backwardBatch(gblock[:bn*outLen], bn)
 			// average gradients over the batch
 			inv := 1 / float64(bn)
 			for _, p := range masterParams {
@@ -455,14 +382,8 @@ func (m *Model) fitSource(src dataset.Source, cfg FitConfig, validate bool) (*Hi
 		}
 
 		stopping := false
-		if len(cfg.ValX) > 0 {
-			var valLoss float64
-			var verr error
-			if batched {
-				valLoss, verr = m.evaluateLossBatched(cfg.ValX, cfg.ValY, cfg.Loss, cfg.BatchSize)
-			} else {
-				valLoss, verr = evaluateLossReplicas(replicas, cfg.ValX, cfg.ValY, cfg.Loss)
-			}
+		if val != nil {
+			valLoss, _, verr := m.evaluateSource(val, cfg.BatchSize, cfg.Loss, false)
 			if verr != nil {
 				return nil, verr
 			}

@@ -215,98 +215,46 @@ func TestFitSourceMetrics(t *testing.T) {
 	}
 }
 
-// TestFitSourceWavePathNonBatchable keeps the per-sample wave path under
-// coverage now that every shipped layer batches: a stack with a hidden
-// batch kernel must fall back to the replica wave schedule and still train
-// bit-identically to the materialized Fit for any worker count.
-func TestFitSourceWavePathNonBatchable(t *testing.T) {
-	const n = 32
-	build := func() *Model {
-		m := NewModel().
-			Add(NewDense(8)).
-			Add(&perSampleOnly{NewActivation(SELU)}).
-			Add(NewDense(3))
-		if err := m.Build(rng.New(7), 12); err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	if build().fullyBatchable() {
-		t.Fatal("perSampleOnly stack must not be fully batchable")
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	d, err := dataset.Materialize(streamCorpus(t, n, 13), idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := FitConfig{Epochs: 3, BatchSize: 8, Seed: 17, ValX: d.X[:8], ValY: d.Y[:8]}
-	ref := build()
-	if _, err := ref.Fit(d.X, d.Y, cfg); err != nil {
-		t.Fatal(err)
-	}
-	refFlat := flatParams(ref)
-	for _, workers := range []int{1, 4} {
-		c := cfg
-		c.Workers = workers
-		m := build()
-		if _, err := m.FitSource(streamCorpus(t, n, 13), c); err != nil {
-			t.Fatal(err)
-		}
-		got := flatParams(m)
-		for i := range got {
-			if got[i] != refFlat[i] {
-				t.Fatalf("workers=%d: wave-path param %d differs bitwise", workers, i)
-			}
-		}
-	}
-}
-
 // TestEvaluateSourceChunked pins the chunked streaming evaluators: for any
-// chunk size, and with or without the batched kernels, EvaluateLossSource
-// and EvaluateMAESource match their materialized counterparts bit for bit.
+// chunk size, EvaluateLossSource and EvaluateMAESource match their
+// materialized counterparts bit for bit. The seeds include totals whose
+// mean differs in the last bit between total/n and total*(1/n).
 func TestEvaluateSourceChunked(t *testing.T) {
 	const n = 23
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
-	d, err := dataset.Materialize(streamCorpus(t, n, 29), idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	models := map[string]*Model{
-		"batched": NewModel().Add(NewDense(8)).Add(NewActivation(SELU)).Add(NewDense(3)),
-		"fallback": NewModel().Add(NewDense(8)).
-			Add(&perSampleOnly{NewActivation(SELU)}).Add(NewDense(3)),
-	}
-	for name, m := range models {
-		if err := m.Build(rng.New(37), 12); err != nil {
+	for seed := uint64(1); seed <= 20; seed++ {
+		d, err := dataset.Materialize(streamCorpus(t, n, seed), idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := NewModel().Add(NewDense(8)).Add(NewActivation(SELU)).Add(NewDense(3))
+		if err := m.Build(rng.New(seed), 12); err != nil {
 			t.Fatal(err)
 		}
 		wantLoss := m.EvaluateLoss(d.X, d.Y, MSE)
 		wantMean, wantPer := m.EvaluateMAE(d.X, d.Y)
 		for _, chunk := range []int{0, 1, 5, n, 50} {
-			src := streamCorpus(t, n, 29)
+			src := streamCorpus(t, n, seed)
 			gotLoss, err := m.EvaluateLossSource(src, MSE, chunk)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if gotLoss != wantLoss {
-				t.Fatalf("%s chunk=%d: loss %v, want %v (bitwise)", name, chunk, gotLoss, wantLoss)
+				t.Fatalf("seed=%d chunk=%d: loss %x, want %x (bitwise)", seed, chunk, gotLoss, wantLoss)
 			}
 			gotMean, gotPer, err := m.EvaluateMAESource(src, chunk)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if gotMean != wantMean {
-				t.Fatalf("%s chunk=%d: MAE %v, want %v (bitwise)", name, chunk, gotMean, wantMean)
+				t.Fatalf("seed=%d chunk=%d: MAE %v, want %v (bitwise)", seed, chunk, gotMean, wantMean)
 			}
 			for j := range wantPer {
 				if gotPer[j] != wantPer[j] {
-					t.Fatalf("%s chunk=%d: per-output MAE %d differs bitwise", name, chunk, j)
+					t.Fatalf("seed=%d chunk=%d: per-output MAE %d differs bitwise", seed, chunk, j)
 				}
 			}
 		}

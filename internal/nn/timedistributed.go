@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"specml/internal/rng"
-	"specml/internal/tensor/pool"
 )
 
 // TimeDistributed applies an inner layer independently to every timestep
@@ -26,10 +25,6 @@ type TimeDistributed struct {
 	xs                        []float64 // cached input sequence
 	y, gin                    []float64
 	infer                     bool
-
-	// batched per-sample fallback scratch (used only when Inner has no
-	// batched kernel; see ForwardBatch)
-	bbx, bfy, bfgin []float64
 }
 
 // NewTimeDistributed wraps inner.
@@ -102,53 +97,22 @@ func (l *TimeDistributed) Backward(gradOut []float64) []float64 {
 	return l.gin
 }
 
-// ForwardBatch implements BatchLayer. A sample-major [n x steps*features]
-// block is, read row-major, already the [n*steps x features] row block the
-// inner layer's batched kernel wants (row k = s*steps + t), so when Inner
-// implements BatchLayer the whole sequence batch is one zero-copy inner
-// call. Row order (sample ascending, timestep ascending) is exactly the
-// order sequential per-sample Forwards visit the timesteps, so the
-// BatchLayer bit-identity contract carries through unchanged. When Inner
-// has no batched kernel, a per-sample loop inside the layer preserves the
-// same semantics.
+// ForwardBatch implements Layer. A sample-major [n x steps*features] block
+// is, read row-major, already the [n*steps x features] row block the inner
+// layer's batched kernel wants (row k = s*steps + t), so the whole sequence
+// batch is one zero-copy inner call. Row order (sample ascending, timestep
+// ascending) is exactly the order sequential per-sample Forwards visit the
+// timesteps, so the bit-identity contract carries through unchanged.
 func (l *TimeDistributed) ForwardBatch(x []float64, n int) []float64 {
-	if ib, ok := l.Inner.(BatchLayer); ok {
-		return ib.ForwardBatch(x, n*l.steps)
-	}
-	l.bbx = x // kept for BackwardBatch's re-forward, like the per-sample xs
-	l.bfy = pool.Grow(l.bfy, n*l.steps*l.innerOut)
-	for r := 0; r < n*l.steps; r++ {
-		out := l.Inner.Forward(x[r*l.features : (r+1)*l.features])
-		copy(l.bfy[r*l.innerOut:(r+1)*l.innerOut], out)
-	}
-	return l.bfy
+	return l.Inner.ForwardBatch(x, n*l.steps)
 }
 
-// BackwardBatch implements BatchLayer. The inner batched backward
-// accumulates the shared parameters' gradients in ascending row order —
-// (sample asc, timestep asc) — which matches n sequential TimeDistributed
-// Backwards (each walks its timesteps ascending).
+// BackwardBatch implements Layer. The inner batched backward accumulates
+// the shared parameters' gradients in ascending row order — (sample asc,
+// timestep asc) — which matches n sequential TimeDistributed Backwards
+// (each walks its timesteps ascending).
 func (l *TimeDistributed) BackwardBatch(gradOut []float64, n int) []float64 {
-	if ib, ok := l.Inner.(BatchLayer); ok {
-		return ib.BackwardBatch(gradOut, n*l.steps)
-	}
-	l.bfgin = pool.Grow(l.bfgin, n*l.steps*l.features)
-	for r := 0; r < n*l.steps; r++ {
-		l.Inner.Forward(l.bbx[r*l.features : (r+1)*l.features]) // restore inner cache
-		gin := l.Inner.Backward(gradOut[r*l.innerOut : (r+1)*l.innerOut])
-		copy(l.bfgin[r*l.features:(r+1)*l.features], gin)
-	}
-	return l.bfgin
-}
-
-// batchCapable implements conditionalBatch: the wrapper runs truly batched
-// only when the inner layer does.
-func (l *TimeDistributed) batchCapable() bool {
-	if cb, ok := l.Inner.(conditionalBatch); ok {
-		return cb.batchCapable()
-	}
-	_, ok := l.Inner.(BatchLayer)
-	return ok
+	return l.Inner.BackwardBatch(gradOut, n*l.steps)
 }
 
 // Params implements Layer (the shared inner parameters).

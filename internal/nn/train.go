@@ -7,7 +7,6 @@ import (
 
 	"specml/internal/dataset"
 	"specml/internal/obs"
-	"specml/internal/parallel"
 )
 
 // FitConfig configures Model.Fit.
@@ -43,10 +42,8 @@ type FitConfig struct {
 	// gate rows), so every element keeps its single ascending-order
 	// accumulator and the fit is bit-identical for any worker count: equal
 	// seeds and data produce equal models regardless of Workers or
-	// GOMAXPROCS. Kernels too small to repay a fork/join stay serial. A
-	// stack with a layer that has no batched kernel instead trains one
-	// sample per worker on weight-sharing replicas, reduced in sample
-	// order. Workers also caps the concurrent corpus render workers.
+	// GOMAXPROCS. Kernels too small to repay a fork/join stay serial.
+	// Workers also caps the concurrent corpus render workers.
 	Workers int
 	// Metrics, when non-nil, receives training progress: epoch, sample and
 	// batch throughput counters, epoch-duration, render-wait and
@@ -123,8 +120,8 @@ type History struct {
 // flat sample per row. Internally the rows are wrapped in a trivial
 // in-memory dataset.Source and trained through the same prefetch pipeline
 // as FitSource, bit-identically to the historical materialized loop. The
-// whole fit runs under a pprof "fit" stage label (inherited by the
-// data-parallel workers), so CPU profiles attribute training time even when
+// whole fit runs under a pprof "fit" stage label (inherited by the kernel
+// shard and render goroutines), so CPU profiles attribute training time even when
 // a fit shares its process with serving.
 func (m *Model) Fit(x, y [][]float64, cfg FitConfig) (*History, error) {
 	var hist *History
@@ -174,68 +171,6 @@ func (m *Model) fit(x, y [][]float64, cfg FitConfig) (*History, error) {
 	}
 	// Rows were validated above; skip the producer-side re-check.
 	return m.fitSource(src, cfg, false)
-}
-
-// evaluateLossReplicas computes the mean loss over a dataset on one
-// goroutine per replica. Per-sample losses land in an index-keyed slice
-// and are summed in index order, so the result matches a sequential
-// EvaluateLoss bit for bit regardless of the replica count.
-func evaluateLossReplicas(replicas []*Model, x, y [][]float64, loss Loss) (float64, error) {
-	if len(x) == 0 {
-		return 0, nil
-	}
-	for _, r := range replicas {
-		r.SetTraining(false)
-	}
-	losses := make([]float64, len(x))
-	err := parallel.For(len(replicas), len(x), func(w, i int) error {
-		out := replicas[w].Forward(x[i])
-		losses[i] = loss.Loss(out, y[i])
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	total := 0.0
-	for _, l := range losses {
-		total += l
-	}
-	return total / float64(len(x)), nil
-}
-
-// evaluateLossBatched computes the mean loss over a dataset through the
-// batched forward path in chunks of the training batch size. Per-sample
-// losses are summed in index order and the batched forward is bit-identical
-// to per-sample Forward, so the result matches evaluateLossReplicas (and a
-// sequential EvaluateLoss) bit for bit.
-func (m *Model) evaluateLossBatched(x, y [][]float64, loss Loss, chunk int) (float64, error) {
-	if len(x) == 0 {
-		return 0, nil
-	}
-	m.checkBatchInputs(x)
-	m.SetTraining(false)
-	inLen, outLen := m.InputLen(), m.OutputLen()
-	if chunk <= 0 || chunk > len(x) {
-		chunk = len(x)
-	}
-	xb := batchScratch.Get(chunk * inLen)
-	defer batchScratch.Put(xb)
-	total := 0.0
-	for start := 0; start < len(x); start += chunk {
-		end := start + chunk
-		if end > len(x) {
-			end = len(x)
-		}
-		bn := end - start
-		for j := 0; j < bn; j++ {
-			copy(xb[j*inLen:(j+1)*inLen], x[start+j])
-		}
-		yb := m.forwardBatch(xb[:bn*inLen], bn)
-		for j := 0; j < bn; j++ {
-			total += loss.Loss(yb[j*outLen:(j+1)*outLen], y[start+j])
-		}
-	}
-	return total / float64(len(x)), nil
 }
 
 // clipGradNorm rescales all gradients so the global L2 norm does not
@@ -346,11 +281,10 @@ func (m *Model) EvaluateMSE(x, y [][]float64) float64 {
 
 // EvaluateLossSource computes the mean loss over a dataset.Source in
 // fixed-size chunks: each chunk is rendered into a pooled scratch block,
-// forwarded (through the batched kernels when the stack supports them) and
-// released, so peak memory holds one chunk regardless of src.Len(). The
-// per-sample losses are summed in index order and the batched forward is
-// bit-identical to per-sample Forward, so the result equals
-// EvaluateLoss(Materialize(src)) bit for bit. chunk <= 0 means a single
+// forwarded through the batched kernels and released, so peak memory holds
+// one chunk regardless of src.Len(). The per-sample losses are summed in
+// index order and the batched forward is bit-identical to per-sample
+// Forward, so the result equals EvaluateLoss(Materialize(src)) bit for bit. chunk <= 0 means a single
 // chunk (only sensible for small sources).
 func (m *Model) EvaluateLossSource(src dataset.Source, loss Loss, chunk int) (float64, error) {
 	if loss == nil {
@@ -398,7 +332,6 @@ func (m *Model) evaluateSource(src dataset.Source, chunk int, loss Loss, wantMAE
 		dstX[j] = xb[j*xw : (j+1)*xw]
 		dstY[j] = yb[j*yw : (j+1)*yw]
 	}
-	batched := m.fullyBatchable()
 	var perOutput []float64
 	if wantMAE {
 		perOutput = make([]float64, yw)
@@ -416,17 +349,9 @@ func (m *Model) evaluateSource(src dataset.Source, chunk int, loss Loss, wantMAE
 		if err := src.Batch(0, indices[:bn], dstX[:bn], dstY[:bn]); err != nil {
 			return 0, nil, err
 		}
-		var out []float64
-		if batched {
-			out = m.forwardBatch(xb[:bn*xw], bn)
-		}
+		out := m.forwardBatch(xb[:bn*xw], bn)
 		for j := 0; j < bn; j++ {
-			var pred []float64
-			if batched {
-				pred = out[j*yw : (j+1)*yw]
-			} else {
-				pred = m.Forward(dstX[j])
-			}
+			pred := out[j*yw : (j+1)*yw]
 			if wantMAE {
 				for k, p := range pred {
 					perOutput[k] += math.Abs(p - dstY[j][k])
@@ -436,10 +361,12 @@ func (m *Model) evaluateSource(src dataset.Source, chunk int, loss Loss, wantMAE
 			}
 		}
 	}
-	inv := 1 / float64(n)
 	if !wantMAE {
-		return total * inv, nil, nil
+		// total / n, not total * (1/n): the two differ in the last bit for
+		// some totals, and EvaluateLoss divides.
+		return total / float64(n), nil, nil
 	}
+	inv := 1 / float64(n)
 	sum := 0.0
 	for k := range perOutput {
 		perOutput[k] *= inv

@@ -31,7 +31,7 @@ func Resolve(workers int) int {
 // For runs fn(worker, i) for every index i in [0, n), distributed over up
 // to `workers` goroutines (0 = all cores). The worker argument is a stable
 // goroutine identifier in [0, workers) that callers may use to index
-// per-worker scratch (e.g. model replicas); indices are handed out
+// per-worker scratch; indices are handed out
 // dynamically, so no assumption may be made about which worker receives
 // which index.
 //

@@ -30,9 +30,9 @@ type response struct {
 // coalesced into one PredictBatch forward pass. A batch is flushed when it
 // reaches MaxBatch requests or when Window has elapsed since the batch's
 // first request, whichever comes first — the classic latency/throughput
-// trade of an online inference server, here amortizing the per-call replica
-// setup of the worker pool across every request that arrives inside the
-// window.
+// trade of an online inference server, here amortizing the per-call
+// fork/join of the kernel shards across every request that arrives inside
+// the window.
 //
 // The run function receives the coalesced inputs in arrival order and must
 // return one output per input. Because nn.Model.PredictBatch is

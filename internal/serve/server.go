@@ -56,8 +56,10 @@ type Config struct {
 	// BatchWindow is how long the dispatcher waits for co-travellers after
 	// the first request of a batch (default 5ms; 0 = flush eagerly).
 	BatchWindow time.Duration
-	// Workers is the PredictBatch worker count (0 = all cores). Results are
-	// bit-identical for any value.
+	// Workers is the kernel worker count of each batched forward (0 = all
+	// cores): PredictBatch shards its convolution, activation and LSTM
+	// kernels over this many goroutines. Results are bit-identical for any
+	// value.
 	Workers int
 	// RequestTimeout bounds a request's wait on the dispatcher
 	// (default 10s).

@@ -8,8 +8,8 @@ import (
 // The wire-codec benchmarks quantify the SPB1 binary format against JSON
 // on the serving hot path's measured fat: decoding a 4096-point spectrum
 // (a high-resolution NMR trace; the fixed-width vectors of the related
-// work are 1600-10k points). These numbers are committed to
-// BENCH_serve.json and gated by scripts/benchcmp.sh -s serve.
+// work are 1600-10k points). These numbers are recorded in
+// BENCH_serve.json.
 
 func wireBenchRequest() *PredictRequest {
 	return &PredictRequest{
