@@ -2,11 +2,12 @@
 // nn.Save-serialized networks from a model directory and serves
 // /v1/predict, /v1/monitor sessions with alarm limits, /v1/models hot
 // reload and /v1/stats over HTTP/JSON, with all forward passes coalesced
-// by a per-model micro-batching dispatcher.
+// by a per-model continuous-batching dispatcher: a request waits only for
+// its model's forward pass in flight, never for a timer.
 //
 //	specserve -train-demo models/         # train a quick MS model to serve
 //	specserve -models models/             # serve every models/*.json
-//	specserve -models models/ -addr :9090 -max-batch 64 -batch-window 2ms
+//	specserve -models models/ -addr :9090 -max-batch 64
 //
 // Example session:
 //
@@ -44,7 +45,6 @@ func main() {
 		addr      = flag.String("addr", ":8080", "listen address")
 		models    = flag.String("models", "", "directory of *.json model files (nn.Save format)")
 		maxBatch  = flag.Int("max-batch", 32, "max requests coalesced into one forward pass")
-		window    = flag.Duration("batch-window", 5*time.Millisecond, "how long a batch waits for co-travellers")
 		workers   = flag.Int("workers", 0, "forward-pass worker count (0 = all cores); results are identical for any value")
 		quantize  = flag.Bool("quantize", false, "serve int8-quantized engines (faster forward passes, bounded accuracy drift; responses carry X-Specml-Precision)")
 		timeout   = flag.Duration("timeout", 10*time.Second, "per-request dispatcher timeout")
@@ -79,7 +79,6 @@ func main() {
 	}
 	srv, err := serve.New(serve.Config{
 		MaxBatch:           *maxBatch,
-		BatchWindow:        *window,
 		Workers:            *workers,
 		Quantize:           *quantize,
 		RequestTimeout:     *timeout,
@@ -118,7 +117,7 @@ func main() {
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	logger.Info("listening", "addr", *addr, "max_batch", *maxBatch, "window", *window, "workers", *workers)
+	logger.Info("listening", "addr", *addr, "max_batch", *maxBatch, "workers", *workers)
 
 	select {
 	case sig := <-stop:

@@ -29,10 +29,11 @@
 // /v1/monitor (stateful core.Monitor sessions with alarm bands),
 // /v1/models (registry with hot reload from a model directory) and
 // /v1/stats (batch-size histogram, p50/p99 latency). Every forward pass
-// is routed through a per-model micro-batching dispatcher that coalesces
-// requests arriving within a configurable window (default 5ms, max batch
-// 32) into one PredictBatch call; since PredictBatch is bit-identical to
-// sequential Predict, batching never changes a response. Shutdown drains
+// is routed through a per-model continuous-batching dispatcher: it flushes
+// as soon as it is free, and the requests that queued while the previous
+// forward pass ran (up to a max batch of 32) leave together in one
+// PredictBatch call. No timer holds a batch open. Since PredictBatch is
+// bit-identical to sequential Predict, batching never changes a response. Shutdown drains
 // in-flight batches. Golden-file tests pin the on-disk model formats and
 // fuzz harnesses keep the request decoder and spectrum preprocessing
 // panic-free on hostile input.

@@ -48,7 +48,9 @@ type Config struct {
 	// ShedQueueDepth is the per-backend load limit for admission control:
 	// when every candidate backend's queued + in-flight work reaches it,
 	// the request is refused with 429 and a Retry-After hint (default 512,
-	// negative disables shedding).
+	// negative disables shedding). Below that, requests skip saturated
+	// backends, except requests to an existing monitor session: only the
+	// backend that holds the session can answer them.
 	ShedQueueDepth int
 	// RetryAfter is the hint on 429 responses (default 1s).
 	RetryAfter time.Duration
@@ -161,7 +163,7 @@ func New(cfg Config) (*Front, error) {
 		stop:       make(chan struct{}),
 		healthDone: make(chan struct{}),
 		mxRetries: cfg.Metrics.Counter("specfront_retries_total",
-			"Hops retried against another ring replica."),
+			"Hops retried against another ring replica: after a failed hop, or after a 404 for a session the replica does not hold."),
 		mxShed: cfg.Metrics.Counter("specfront_shed_total",
 			"Requests refused with 429 because every candidate backend was saturated."),
 	}
@@ -368,61 +370,101 @@ func retryableStatus(status int) bool {
 // retry-with-backoff across replicas and admission control. The error
 // return carries the HTTP status to surface when no hop produced a
 // response at all.
-func (f *Front) proxyWithFailover(ctx context.Context, key, method, path, contentType, accept string, body []byte) (*hopResult, int, error) {
+//
+// When every candidate is over the shed threshold the fleet is saturated
+// and the request is refused with 429. Otherwise a request skips the
+// saturated replicas, unless session is set: the request is addressed to
+// an existing monitor session (step, status, close), which only the
+// replica that holds the session can answer. Such a request goes to the
+// replicas in ring order, saturated or not. A 404 from one replica means
+// the session lives elsewhere (its create failed over past the ring
+// owner), so the next replica is asked at once, without backoff and
+// without spending the retry budget. A 504 comes only from the holder,
+// which looks the session up before it queues a step, so it is relayed
+// at once. The 404 is relayed when no replica that answered holds the
+// session, ahead of any failed hop: a dead backend lost its sessions and
+// a draining one answers 503 to every request, so the client's next move
+// is a new session either way.
+func (f *Front) proxyWithFailover(ctx context.Context, key, method, path, contentType, accept string, body []byte, session bool) (*hopResult, int, error) {
 	ordered := f.candidates(key)
 	if len(ordered) == 0 {
 		return nil, http.StatusServiceUnavailable, errors.New("front: no backends configured")
 	}
-	var last *hopResult
+	// One saturation snapshot serves both the fleet-wide refusal and the
+	// per-replica skip, so the two cannot disagree.
+	saturated := make([]bool, len(ordered))
+	nSaturated := 0
+	for i, b := range ordered {
+		if saturated[i] = b.saturated(f.cfg.ShedQueueDepth); saturated[i] {
+			nSaturated++
+		}
+	}
+	if nSaturated == len(ordered) {
+		// The fleet is saturated: tell the client when to come back.
+		f.mxShed.Inc()
+		return nil, http.StatusTooManyRequests,
+			fmt.Errorf("front: all %d backends saturated (queue depth >= %d)", nSaturated, f.cfg.ShedQueueDepth)
+	}
+	var last, notFound *hopResult
 	var lastErr error
-	attempts, shedSkips := 0, 0
-	for _, b := range ordered {
-		if attempts > f.cfg.Retries {
+	failures, hops := 0, 0
+	backoff := false // the previous hop failed, so the next one waits first
+	for i, b := range ordered {
+		if failures > f.cfg.Retries {
 			break
 		}
-		if b.saturated(f.cfg.ShedQueueDepth) {
-			shedSkips++
+		if !session && saturated[i] {
 			continue
 		}
-		if attempts > 0 {
+		if hops > 0 {
+			// Every hop after the first is a retry: the previous replica
+			// failed, or answered 404 for a session it does not hold.
 			f.mxRetries.Inc()
-			backoff := f.cfg.RetryBackoff << (attempts - 1)
+		}
+		if backoff {
 			select {
 			case <-ctx.Done():
 				return nil, http.StatusServiceUnavailable, ctx.Err()
-			case <-time.After(backoff):
+			case <-time.After(f.cfg.RetryBackoff << (failures - 1)):
 			}
 		}
-		attempts++
+		hops++
 		res, err := f.forward(ctx, b, method, path, contentType, accept, body)
-		if err != nil {
+		backoff = err != nil || retryableStatus(res.status)
+		switch {
+		case err != nil:
+			failures++
 			lastErr = err
 			f.logger.Warn("backend hop failed", "backend", b.name, "path", path, "err", err)
-			continue
-		}
-		if retryableStatus(res.status) {
+		case session && res.status == http.StatusGatewayTimeout:
+			return res, 0, nil
+		case backoff:
+			failures++
 			last = res
-			continue
+		case session && res.status == http.StatusNotFound:
+			notFound = res
+		default:
+			return res, 0, nil
 		}
-		return res, 0, nil
 	}
-	if shedSkips == len(ordered) {
-		// Every candidate was over the shed threshold: the fleet is
-		// saturated, tell the client when to come back.
-		f.mxShed.Inc()
-		return nil, http.StatusTooManyRequests,
-			fmt.Errorf("front: all %d backends saturated (queue depth >= %d)", shedSkips, f.cfg.ShedQueueDepth)
+	if notFound != nil {
+		return notFound, 0, nil
 	}
 	if last != nil {
 		// A backend answered with a retryable status and no replica did
 		// better; relay its answer rather than inventing one.
 		return last, 0, nil
 	}
-	if lastErr != nil {
-		return nil, http.StatusBadGateway, fmt.Errorf("front: all replicas failed for %s: %w", path, lastErr)
+	return nil, http.StatusBadGateway, fmt.Errorf("front: all replicas failed for %s: %w", path, lastErr)
+}
+
+// proxyError writes the error of a request no backend answered, with a
+// Retry-After hint when admission control refused it.
+func (f *Front) proxyError(w http.ResponseWriter, status int, err error) int {
+	if status == http.StatusTooManyRequests {
+		w.Header().Set("Retry-After", strconv.Itoa(int((f.cfg.RetryAfter+time.Second-1)/time.Second)))
 	}
-	return nil, http.StatusTooManyRequests,
-		fmt.Errorf("front: admission refused (saturated replicas, retry budget %d exhausted)", f.cfg.Retries)
+	return writeError(w, status, err)
 }
 
 // relay writes a hop result to the client unchanged (plus the backend
@@ -492,12 +534,9 @@ func (f *Front) handlePredict(w http.ResponseWriter, r *http.Request) int {
 	if f.cfg.JSONHops {
 		hopAccept = "application/json"
 	}
-	res, status, err := f.proxyWithFailover(r.Context(), model, http.MethodPost, "/v1/predict", hopCT, hopAccept, hopBody)
+	res, status, err := f.proxyWithFailover(r.Context(), model, http.MethodPost, "/v1/predict", hopCT, hopAccept, hopBody, false)
 	if err != nil {
-		if status == http.StatusTooManyRequests {
-			w.Header().Set("Retry-After", strconv.Itoa(int((f.cfg.RetryAfter+time.Second-1)/time.Second)))
-		}
-		return writeError(w, status, err)
+		return f.proxyError(w, status, err)
 	}
 	if res.status != http.StatusOK {
 		return relay(w, res)
@@ -577,12 +616,9 @@ func (f *Front) handleMonitorCreate(w http.ResponseWriter, r *http.Request) int 
 			return writeError(w, http.StatusInternalServerError, err)
 		}
 	}
-	res, status, err := f.proxyWithFailover(r.Context(), id, http.MethodPost, "/v1/monitor", "application/json", "", body)
+	res, status, err := f.proxyWithFailover(r.Context(), id, http.MethodPost, "/v1/monitor", "application/json", "", body, false)
 	if err != nil {
-		if status == http.StatusTooManyRequests {
-			w.Header().Set("Retry-After", strconv.Itoa(int((f.cfg.RetryAfter+time.Second-1)/time.Second)))
-		}
-		return writeError(w, status, err)
+		return f.proxyError(w, status, err)
 	}
 	return relay(w, res)
 }
@@ -610,9 +646,9 @@ func (f *Front) handleMonitorStep(w http.ResponseWriter, r *http.Request) int {
 			hopCT = serve.BinaryContentType
 		}
 	}
-	res, status, err := f.proxyWithFailover(r.Context(), id, http.MethodPost, "/v1/monitor/"+url.PathEscape(id)+"/step", hopCT, "", hopBody)
+	res, status, err := f.proxyWithFailover(r.Context(), id, http.MethodPost, "/v1/monitor/"+url.PathEscape(id)+"/step", hopCT, "", hopBody, true)
 	if err != nil {
-		return writeError(w, status, err)
+		return f.proxyError(w, status, err)
 	}
 	return relay(w, res)
 }
@@ -620,9 +656,9 @@ func (f *Front) handleMonitorStep(w http.ResponseWriter, r *http.Request) int {
 // handleMonitorProxy routes status and close requests by session key.
 func (f *Front) handleMonitorProxy(w http.ResponseWriter, r *http.Request) int {
 	id := r.PathValue("id")
-	res, status, err := f.proxyWithFailover(r.Context(), id, r.Method, "/v1/monitor/"+url.PathEscape(id), "", "", nil)
+	res, status, err := f.proxyWithFailover(r.Context(), id, r.Method, "/v1/monitor/"+url.PathEscape(id), "", "", nil, true)
 	if err != nil {
-		return writeError(w, status, err)
+		return f.proxyError(w, status, err)
 	}
 	return relay(w, res)
 }
@@ -631,9 +667,9 @@ func (f *Front) handleMonitorProxy(w http.ResponseWriter, r *http.Request) int {
 // fleet serves one shared model directory, so every backend's answer is
 // equivalent.
 func (f *Front) handleModels(w http.ResponseWriter, r *http.Request) int {
-	res, status, err := f.proxyWithFailover(r.Context(), "models", http.MethodGet, "/v1/models", "", "", nil)
+	res, status, err := f.proxyWithFailover(r.Context(), "models", http.MethodGet, "/v1/models", "", "", nil, false)
 	if err != nil {
-		return writeError(w, status, err)
+		return f.proxyError(w, status, err)
 	}
 	return relay(w, res)
 }

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -49,7 +51,7 @@ func newFleet(t testing.TB, n int, mutate func(*Config)) (*Front, []*fleetBacken
 	backends := make([]*fleetBackend, n)
 	urls := make([]string, n)
 	for i := range backends {
-		srv, err := serve.New(serve.Config{BatchWindow: 0, RequestTimeout: 5 * time.Second})
+		srv, err := serve.New(serve.Config{RequestTimeout: 5 * time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,6 +324,201 @@ func TestFrontShed(t *testing.T) {
 	if code, _ := doJSON(t, f.Handler(), http.MethodPost, "/v1/predict",
 		map[string]any{"model": "test", "intensities": rampN(24, 0)}, &ok); code != http.StatusOK {
 		t.Fatalf("recovered fleet: status %d (%s)", code, ok.Error)
+	}
+}
+
+// stepSession steps a monitor session through the front and requires a 200
+// from the backend named holder with the step counter at want.
+func stepSession(t *testing.T, h http.Handler, id, holder string, want int) {
+	t.Helper()
+	var out struct {
+		Step  int    `json:"step"`
+		Error string `json:"error"`
+	}
+	code, hdr := doJSON(t, h, http.MethodPost, "/v1/monitor/"+id+"/step",
+		map[string]any{"intensities": rampN(24, 0)}, &out)
+	if code != http.StatusOK {
+		t.Fatalf("session %s step %d: %d (%s)", id, want, code, out.Error)
+	}
+	if got := hdr.Get(BackendHeader); got != holder {
+		t.Fatalf("session %s step %d served by %s, session lives on %s", id, want, got, holder)
+	}
+	if out.Step != want {
+		t.Fatalf("session %s: step counter %d, want %d", id, out.Step, want)
+	}
+}
+
+// TestFrontMisplacedSessionFound: a session whose create failed over past
+// an unhealthy ring owner stays reachable once the owner is back. The
+// owner's 404 sends each follow-up request on to the replica that holds
+// the session, and a 404 reaches the client only when no replica does.
+func TestFrontMisplacedSessionFound(t *testing.T) {
+	f, _ := newFleet(t, 2, func(c *Config) {
+		c.HealthInterval = time.Hour // freeze health state for the test
+	})
+	h := f.Handler()
+	const id = "misplaced"
+	owner := f.byName[f.Ring().Lookup(id)]
+	owner.healthy.Store(false)
+	var created struct {
+		Session string `json:"session"`
+		Error   string `json:"error"`
+	}
+	code, hdr := doJSON(t, h, http.MethodPost, "/v1/monitor",
+		map[string]any{"model": "test", "session": id}, &created)
+	if code != http.StatusOK {
+		t.Fatalf("create: %d (%s)", code, created.Error)
+	}
+	holder := hdr.Get(BackendHeader)
+	if holder == owner.name {
+		t.Fatalf("create landed on the unhealthy owner %s", holder)
+	}
+	owner.healthy.Store(true)
+
+	retries := f.mxRetries.Value()
+	for step := 1; step <= 3; step++ {
+		stepSession(t, h, id, holder, step)
+	}
+	if got := f.mxRetries.Value() - retries; got != 3 {
+		t.Fatalf("3 steps past the owner's 404 counted %d retries, want 3", got)
+	}
+	if code, hdr := doJSON(t, h, http.MethodGet, "/v1/monitor/"+id, nil, nil); code != http.StatusOK || hdr.Get(BackendHeader) != holder {
+		t.Fatalf("status: %d via %s, want 200 via %s", code, hdr.Get(BackendHeader), holder)
+	}
+	if code, hdr := doJSON(t, h, http.MethodDelete, "/v1/monitor/"+id, nil, nil); code != http.StatusOK || hdr.Get(BackendHeader) != holder {
+		t.Fatalf("close: %d via %s, want 200 via %s", code, hdr.Get(BackendHeader), holder)
+	}
+	if code, _ := doJSON(t, h, http.MethodPost, "/v1/monitor/"+id+"/step",
+		map[string]any{"intensities": rampN(24, 0)}, nil); code != http.StatusNotFound {
+		t.Fatalf("step of a closed session: %d, want 404", code)
+	}
+}
+
+// ownedID returns the first ID "prefix-N" whose ring owner is backend.
+func ownedID(f *Front, prefix, backend string) string {
+	for i := 0; ; i++ {
+		if id := fmt.Sprintf("%s-%d", prefix, i); f.Ring().Lookup(id) == backend {
+			return id
+		}
+	}
+}
+
+// TestFrontLostSessionAnswers404: when the backend that held a session is
+// killed or draining, every request for the session answers the
+// survivor's 404, not the lost backend's transport error or 503. So does a
+// session that never existed, whichever replica owns its ID. Sessions on
+// the survivor keep stepping.
+func TestFrontLostSessionAnswers404(t *testing.T) {
+	for _, mode := range []string{"killed", "draining"} {
+		t.Run(mode, func(t *testing.T) {
+			f, backends := newFleet(t, 2, func(c *Config) {
+				c.HealthInterval = time.Hour // freeze health state for the test
+			})
+			h := f.Handler()
+			victim, survivor := backends[0], backends[1]
+			lost, kept := ownedID(f, "sess", victim.name), ownedID(f, "sess", survivor.name)
+			for _, id := range []string{lost, kept} {
+				if code, _ := doJSON(t, h, http.MethodPost, "/v1/monitor",
+					map[string]any{"model": "test", "session": id}, nil); code != http.StatusOK {
+					t.Fatalf("create %s: %d", id, code)
+				}
+			}
+			stepSession(t, h, lost, victim.name, 1)
+
+			switch mode {
+			case "killed":
+				victim.http.CloseClientConnections()
+				victim.http.Close()
+			case "draining":
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				defer cancel()
+				if err := victim.srv.Close(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			for _, id := range []string{lost, ownedID(f, "never", victim.name), ownedID(f, "never", survivor.name)} {
+				for _, req := range []struct {
+					method, path string
+					body         any
+				}{
+					{http.MethodPost, "/v1/monitor/" + id + "/step", map[string]any{"intensities": rampN(24, 0)}},
+					{http.MethodGet, "/v1/monitor/" + id, nil},
+					{http.MethodDelete, "/v1/monitor/" + id, nil},
+				} {
+					var out struct {
+						Error string `json:"error"`
+					}
+					code, hdr := doJSON(t, h, req.method, req.path, req.body, &out)
+					if code != http.StatusNotFound || hdr.Get(BackendHeader) != survivor.name {
+						t.Fatalf("%s %s with the other backend %s: %d via %q (%s), want 404 via %s",
+							req.method, req.path, mode, code, hdr.Get(BackendHeader), out.Error, survivor.name)
+					}
+				}
+			}
+			stepSession(t, h, kept, survivor.name, 1)
+		})
+	}
+}
+
+// TestFrontSessionTimeoutRelayed: a backend looks a session up before it
+// queues a step, so a 504 comes from the replica that holds the session.
+// The front relays it rather than asking a replica that would answer 404.
+func TestFrontSessionTimeoutRelayed(t *testing.T) {
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/v1/monitor/") {
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusGatewayTimeout)
+			_, _ = io.WriteString(w, `{"error":"serve: context deadline exceeded"}`)
+			return
+		}
+		w.WriteHeader(http.StatusOK) // health and metrics probes
+	}))
+	t.Cleanup(stub.Close)
+	stubName := stub.Listener.Addr().String()
+	f, backends := newFleet(t, 1, func(c *Config) {
+		c.Backends = append(c.Backends, stub.URL)
+		c.HealthInterval = time.Hour // freeze health state for the test
+	})
+	for _, owner := range []string{stubName, backends[0].name} {
+		id := ownedID(f, "slow", owner)
+		code, hdr := doJSON(t, f.Handler(), http.MethodPost, "/v1/monitor/"+id+"/step",
+			map[string]any{"intensities": rampN(24, 0)}, nil)
+		if code != http.StatusGatewayTimeout || hdr.Get(BackendHeader) != stubName {
+			t.Fatalf("step of %s (ring owner %s): %d via %q, want 504 via %s", id, owner, code, hdr.Get(BackendHeader), stubName)
+		}
+	}
+}
+
+// TestFrontSessionStepNotShed: only the replica that holds a session can
+// answer for it, so a step goes to its backend even when that backend is
+// over the shed threshold. A saturated fleet still refuses it with 429.
+func TestFrontSessionStepNotShed(t *testing.T) {
+	f, _ := newFleet(t, 2, func(c *Config) {
+		c.ShedQueueDepth = 4
+		c.HealthInterval = time.Hour // freeze scraped state for the test
+	})
+	h := f.Handler()
+	var created struct {
+		Session string `json:"session"`
+		Error   string `json:"error"`
+	}
+	code, hdr := doJSON(t, h, http.MethodPost, "/v1/monitor", map[string]any{"model": "test"}, &created)
+	if code != http.StatusOK {
+		t.Fatalf("create: %d (%s)", code, created.Error)
+	}
+	holder := hdr.Get(BackendHeader)
+	f.byName[holder].queueDepth.Store(10)
+	stepSession(t, h, created.Session, holder, 1)
+	stepSession(t, h, created.Session, holder, 2)
+
+	for _, b := range f.backends {
+		b.queueDepth.Store(10)
+	}
+	code, hdr = doJSON(t, h, http.MethodPost, "/v1/monitor/"+created.Session+"/step",
+		map[string]any{"intensities": rampN(24, 0)}, nil)
+	if code != http.StatusTooManyRequests || hdr.Get("Retry-After") == "" {
+		t.Fatalf("step on a saturated fleet: %d (Retry-After %q), want 429 with a hint", code, hdr.Get("Retry-After"))
 	}
 }
 

@@ -415,8 +415,10 @@ func (l *Loop) topologySpec(inputLen int) (toolflow.TopologySpec, error) {
 // and has its second request in flight. The swap happens inside the PUT
 // broadcast that follows, so without this handshake a fast publish can win
 // the race outright and the stale-width path goes unexercised; with it, an
-// old-width request is queued in the batcher while the swap lands (as long
-// as the serve batch window exceeds the publish round trip).
+// old-width request is in flight while the swap lands. Whether it is still
+// queued in the batcher when the swap lands depends on the backlog behind
+// the model's forward passes: enough churn workers against a small
+// per-flush batch cap keep old-width rows queued across the publish.
 func (l *Loop) startChurn() (stop func()) {
 	if l.cfg.Churn <= 0 {
 		return func() {}

@@ -101,7 +101,6 @@ func bootFleet(t *testing.T, n int) string {
 		}
 		srv, err := serve.New(serve.Config{
 			ModelDir:       dir,
-			BatchWindow:    2 * time.Millisecond,
 			RequestTimeout: 30 * time.Second,
 		})
 		if err != nil {

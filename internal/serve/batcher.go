@@ -26,13 +26,16 @@ type response struct {
 	err error
 }
 
-// Batcher is the micro-batching dispatcher: concurrent Predict calls are
-// coalesced into one PredictBatch forward pass. A batch is flushed when it
-// reaches MaxBatch requests or when Window has elapsed since the batch's
-// first request, whichever comes first — the classic latency/throughput
-// trade of an online inference server, here amortizing the per-call
-// fork/join of the kernel shards across every request that arrives inside
-// the window.
+// Batcher is the continuous-batching dispatcher: concurrent Predict calls
+// are coalesced into one PredictBatch forward pass. The dispatcher flushes
+// as soon as it is free. A flush takes the first queued request plus
+// whatever else is already queued, up to MaxBatch; requests that arrive
+// while a forward pass runs queue up and leave together in the next flush.
+// The model's own busy time therefore forms the batches: an idle model
+// answers a lone request at once, and a loaded one amortizes the per-call
+// fork/join of the kernel shards over every request that queued behind it.
+// No timer holds a batch open. With one dispatcher per model, a timer could
+// only wait while the model sat idle, which costs latency and buys nothing.
 //
 // The run function receives the coalesced inputs in arrival order and must
 // return one output per input. Because nn.Model.PredictBatch is
@@ -41,7 +44,6 @@ type response struct {
 // which requests it shared a batch with.
 type Batcher struct {
 	maxBatch int
-	window   time.Duration
 	run      func([][]float64) ([][]float64, error)
 	stats    *Stats
 	model    string        // pprof/metrics label; empty for bare batchers
@@ -60,19 +62,18 @@ type Batcher struct {
 	xsBuf    [][]float64
 }
 
-// NewBatcher starts the dispatcher goroutine. maxBatch <= 0 defaults to 32;
-// window <= 0 flushes eagerly (a batch only grows while requests are
-// already queued). stats may be nil.
-func NewBatcher(maxBatch int, window time.Duration, stats *Stats,
+// NewBatcher starts the dispatcher goroutine. maxBatch <= 0 defaults to 32.
+// stats may be nil.
+func NewBatcher(maxBatch int, stats *Stats,
 	run func([][]float64) ([][]float64, error)) *Batcher {
-	return newBatcher(maxBatch, window, stats, run, "", nil, nil)
+	return newBatcher(maxBatch, stats, run, "", nil, nil)
 }
 
 // newBatcher is NewBatcher plus the observability wiring: a model label
 // for pprof/metrics attribution, the server's obs instruments and a
 // structured logger. Everything is installed before the dispatcher
 // goroutine starts, so no field needs locking.
-func newBatcher(maxBatch int, window time.Duration, stats *Stats,
+func newBatcher(maxBatch int, stats *Stats,
 	run func([][]float64) ([][]float64, error),
 	model string, mx *serveMetrics, logger *slog.Logger) *Batcher {
 	if maxBatch <= 0 {
@@ -83,7 +84,6 @@ func newBatcher(maxBatch int, window time.Duration, stats *Stats,
 	}
 	b := &Batcher{
 		maxBatch: maxBatch,
-		window:   window,
 		run:      run,
 		stats:    stats,
 		model:    model,
@@ -160,31 +160,15 @@ func (b *Batcher) loop() {
 	}
 }
 
-// collect gathers up to maxBatch requests, waiting at most window after
-// the first one. A closed request channel ends collection early; the
-// remaining queued requests are picked up by subsequent loop iterations,
-// so shutdown drains everything.
+// collect takes first plus every request already queued, up to maxBatch,
+// without waiting for more. A closed request channel ends collection early;
+// the remaining queued requests are picked up by subsequent loop
+// iterations, so shutdown drains everything.
 func (b *Batcher) collect(first *request) []*request {
 	if b.batchBuf == nil {
 		b.batchBuf = make([]*request, 0, b.maxBatch)
 	}
 	batch := append(b.batchBuf[:0], first)
-	if b.window <= 0 {
-		for len(batch) < b.maxBatch {
-			select {
-			case r, ok := <-b.reqs:
-				if !ok {
-					return batch
-				}
-				batch = append(batch, r)
-			default:
-				return batch
-			}
-		}
-		return batch
-	}
-	timer := time.NewTimer(b.window)
-	defer timer.Stop()
 	for len(batch) < b.maxBatch {
 		select {
 		case r, ok := <-b.reqs:
@@ -192,7 +176,7 @@ func (b *Batcher) collect(first *request) []*request {
 				return batch
 			}
 			batch = append(batch, r)
-		case <-timer.C:
+		default:
 			return batch
 		}
 	}

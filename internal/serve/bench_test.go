@@ -37,16 +37,10 @@ func benchModel(b *testing.B) *nn.Model {
 // BenchmarkServePredict measures the full request path — JSON decode,
 // preprocessing, micro-batcher, JSON encode — under concurrent load (32
 // client goroutines regardless of core count), which is what lets the
-// dispatcher actually coalesce. The window=0 variant flushes eagerly: a
-// batch only grows while requests are already queued, trading batch size
-// for first-request latency.
+// dispatcher actually coalesce: requests that queue while a forward pass
+// runs leave together in the next flush.
 func BenchmarkServePredict(b *testing.B) {
-	b.Run("window=2ms", func(b *testing.B) { benchServePredict(b, 2*time.Millisecond) })
-	b.Run("window=0", func(b *testing.B) { benchServePredict(b, 0) })
-}
-
-func benchServePredict(b *testing.B, window time.Duration) {
-	srv, err := New(Config{MaxBatch: 32, BatchWindow: window})
+	srv, err := New(Config{MaxBatch: 32})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -90,7 +84,7 @@ func benchServePredict(b *testing.B, window time.Duration) {
 // HTTP/JSON overhead: the marginal cost of one batched inference.
 func BenchmarkBatcherPredict(b *testing.B) {
 	m := benchModel(b)
-	batcher := NewBatcher(32, 0, nil, func(xs [][]float64) ([][]float64, error) {
+	batcher := NewBatcher(32, nil, func(xs [][]float64) ([][]float64, error) {
 		return m.PredictBatch(xs, 0)
 	})
 	defer batcher.Close()
@@ -147,7 +141,7 @@ func benchMonitorModel(b *testing.B) *nn.Model {
 // GEMM LSTM kernels instead of falling back to one Forward per request.
 func BenchmarkBatcherPredictMonitor(b *testing.B) {
 	m := benchMonitorModel(b)
-	batcher := NewBatcher(32, 0, nil, func(xs [][]float64) ([][]float64, error) {
+	batcher := NewBatcher(32, nil, func(xs [][]float64) ([][]float64, error) {
 		return m.PredictBatch(xs, 0)
 	})
 	defer batcher.Close()

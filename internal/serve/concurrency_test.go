@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"specml/internal/obs"
 )
 
 // httpPost sends one JSON request over a real connection and decodes the
@@ -38,12 +40,12 @@ func httpPost(c *http.Client, url string, body any, out any) (int, error) {
 }
 
 // TestConcurrentPredictBitIdentical is the acceptance test of the
-// micro-batcher: many parallel /v1/predict requests, coalesced into shared
+// batcher: many parallel /v1/predict requests, coalesced into shared
 // forward passes, must return exactly the bytes a sequential single-sample
 // Predict produces. JSON float64 encoding is shortest-round-trip, so a
 // decoded fraction is bit-identical to the served value.
 func TestConcurrentPredictBitIdentical(t *testing.T) {
-	srv, m := testServer(t, Config{MaxBatch: 16, BatchWindow: 2 * time.Millisecond})
+	srv, m := testServer(t, Config{MaxBatch: 16})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -112,19 +114,26 @@ func TestConcurrentPredictBitIdentical(t *testing.T) {
 	}
 }
 
-// TestBatcherCoalesces pins the dispatcher's batching semantics with a
-// deterministic run function: with a generous window, maxBatch queued
-// requests must arrive as one flush.
+// TestBatcherCoalesces pins continuous batching with a deterministic run
+// function: requests that queue while a forward pass runs all leave in the
+// next flush, as soon as the dispatcher is free.
 func TestBatcherCoalesces(t *testing.T) {
 	const maxBatch = 8
 	var (
-		mu    sync.Mutex
-		sizes []int
+		mu      sync.Mutex
+		sizes   []int
+		entered = make(chan struct{})
+		release = make(chan struct{})
 	)
-	b := NewBatcher(maxBatch, time.Second, nil, func(xs [][]float64) ([][]float64, error) {
+	b := NewBatcher(maxBatch, nil, func(xs [][]float64) ([][]float64, error) {
 		mu.Lock()
 		sizes = append(sizes, len(xs))
+		first := len(sizes) == 1
 		mu.Unlock()
+		if first {
+			close(entered)
+			<-release
+		}
 		ys := make([][]float64, len(xs))
 		for i, x := range xs {
 			ys[i] = []float64{x[0] * 2}
@@ -132,11 +141,14 @@ func TestBatcherCoalesces(t *testing.T) {
 		return ys, nil
 	})
 	defer b.Close()
+	var releaseOnce sync.Once
+	open := func() { releaseOnce.Do(func() { close(release) }) }
+	defer open()
 
 	var wg sync.WaitGroup
-	for i := 0; i < maxBatch; i++ {
+	predict := func(i int) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			y, err := b.Predict(context.Background(), []float64{float64(i)})
 			if err != nil {
@@ -146,24 +158,53 @@ func TestBatcherCoalesces(t *testing.T) {
 			if len(y) != 1 || y[0] != float64(i)*2 {
 				t.Errorf("predict %d: got %v", i, y)
 			}
-		}(i)
+		}()
 	}
+	predict(0)
+	<-entered
+	for i := 1; i <= maxBatch; i++ {
+		predict(i)
+	}
+	waitQueued(t, b, maxBatch)
+	open()
 	wg.Wait()
 	mu.Lock()
 	defer mu.Unlock()
-	total := 0
-	for _, s := range sizes {
-		total += s
+	if len(sizes) != 2 || sizes[0] != 1 || sizes[1] != maxBatch {
+		t.Fatalf("flush sizes %v, want [1 %d]", sizes, maxBatch)
 	}
-	if total != maxBatch {
-		t.Fatalf("flushed %d inputs across %v, want %d", total, sizes, maxBatch)
+}
+
+// TestBatcherFlushAllocFree pins the steady-state contract of the
+// dispatcher: once its scratch is warm, collecting and flushing a batch
+// allocates nothing per batch (no timer, no batch or input slice). The
+// dispatcher never waits for a batch to fill, so it needs no timer.
+func TestBatcherFlushAllocFree(t *testing.T) {
+	const n = 4
+	ys := make([][]float64, n)
+	reqs := make([]*request, n)
+	for i := range reqs {
+		ys[i] = []float64{float64(i)}
+		reqs[i] = &request{x: []float64{1}, resp: make(chan response, 1)}
 	}
-	// The one-second window means the only way to see several flushes is
-	// maxBatch being hit first; either way no flush may exceed maxBatch.
-	for _, s := range sizes {
-		if s > maxBatch {
-			t.Fatalf("flush of %d exceeds maxBatch %d", s, maxBatch)
+	b := &Batcher{
+		maxBatch: n,
+		reqs:     make(chan *request, n),
+		logger:   obs.NopLogger(),
+		run:      func(xs [][]float64) ([][]float64, error) { return ys[:len(xs)], nil },
+	}
+	cycle := func() {
+		for _, r := range reqs[1:] {
+			b.reqs <- r
 		}
+		b.flush(b.collect(reqs[0]))
+		for _, r := range reqs {
+			<-r.resp
+		}
+	}
+	cycle() // warm the scratch
+	if a := testing.AllocsPerRun(100, cycle); a != 0 {
+		t.Fatalf("collect+flush allocates %.1f objects per batch, want 0", a)
 	}
 }
 
@@ -171,7 +212,7 @@ func TestBatcherCoalesces(t *testing.T) {
 // every Predict that was admitted before Close must receive its result.
 func TestBatcherShutdownDrains(t *testing.T) {
 	const n = 24
-	b := NewBatcher(4, 5*time.Millisecond, nil, func(xs [][]float64) ([][]float64, error) {
+	b := NewBatcher(4, nil, func(xs [][]float64) ([][]float64, error) {
 		time.Sleep(10 * time.Millisecond) // make batches slow enough to pile up
 		ys := make([][]float64, len(xs))
 		for i, x := range xs {
@@ -235,7 +276,7 @@ func TestBatcherShutdownDrains(t *testing.T) {
 // busy.
 func TestBatcherContextTimeout(t *testing.T) {
 	block := make(chan struct{})
-	b := NewBatcher(1, 0, nil, func(xs [][]float64) ([][]float64, error) {
+	b := NewBatcher(1, nil, func(xs [][]float64) ([][]float64, error) {
 		<-block
 		return xs, nil
 	})

@@ -14,7 +14,7 @@ import (
 // The contract under fuzz: malformed input yields a 4xx JSON error
 // envelope — never a panic, never a 5xx, never a non-JSON body.
 func FuzzPredictRequest(f *testing.F) {
-	srv, _ := testServer(f, Config{BatchWindow: 0, RequestTimeout: 2 * time.Second})
+	srv, _ := testServer(f, Config{RequestTimeout: 2 * time.Second})
 	h := srv.Handler()
 
 	f.Add([]byte(`{"model":"test","intensities":[0.1,0.2,0.3]}`))
@@ -63,7 +63,7 @@ func FuzzPredictRequest(f *testing.F) {
 // 5xx, and never an allocation larger than the frame itself justifies (an
 // oversized declared count must fail before the sample slice is made).
 func FuzzWirePredictRequest(f *testing.F) {
-	srv, _ := testServer(f, Config{BatchWindow: 0, RequestTimeout: 2 * time.Second})
+	srv, _ := testServer(f, Config{RequestTimeout: 2 * time.Second})
 	h := srv.Handler()
 
 	if valid, err := AppendPredictRequestBinary(nil, &PredictRequest{Model: "test", Intensities: []float64{1, 2, 3}}); err == nil {

@@ -16,7 +16,7 @@ import (
 // dispatcher after a width-changing reload must get an error response —
 // the Forward panic path would kill the whole process.
 func TestReloadWidthMismatchFailsGracefully(t *testing.T) {
-	srv, _ := testServer(t, Config{BatchWindow: time.Millisecond})
+	srv, _ := testServer(t, Config{})
 	e, err := srv.reg.get("test")
 	if err != nil {
 		t.Fatal(err)
@@ -42,22 +42,43 @@ func TestReloadWidthMismatchFailsGracefully(t *testing.T) {
 }
 
 // TestReloadWidthMismatchEndToEnd drives the same race through the HTTP
-// layer: a request parked in the batch window when a width-changing swap
+// layer: a request queued behind a busy model when a width-changing swap
 // lands gets 409 Conflict, not a crash or 500.
 func TestReloadWidthMismatchEndToEnd(t *testing.T) {
-	srv, _ := testServer(t, Config{BatchWindow: 300 * time.Millisecond, MaxBatch: 64})
-	codec := make(chan int, 1)
-	go func() {
-		var resp predictResponse
-		codec <- post(t, srv.Handler(), "/v1/predict", map[string]any{
-			"model": "test", "intensities": ramp(24, 0),
-		}, &resp)
-	}()
-	time.Sleep(50 * time.Millisecond) // let the request reach the dispatcher
+	srv, _ := testServer(t, Config{MaxBatch: 64})
+	gated, gate := gatedModel(t, 42, 24, 3)
+	defer gate.open()
+	if err := srv.Registry().Register("test", gated); err != nil {
+		t.Fatal(err)
+	}
+	e, err := srv.reg.get("test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	predict := func(phase float64) <-chan int {
+		code := make(chan int, 1)
+		go func() {
+			var resp predictResponse
+			code <- post(t, srv.Handler(), "/v1/predict", map[string]any{
+				"model": "test", "intensities": ramp(24, phase),
+			}, &resp)
+		}()
+		return code
+	}
+	// The first request holds the dispatcher inside its forward pass; the
+	// second, preprocessed for width 24, queues behind it.
+	busy := predict(1)
+	<-gate.entered
+	stale := predict(0)
+	waitQueued(t, e.batcher, 1)
 	if err := srv.Registry().Register("test", testModel(t, 8, 48, 3)); err != nil {
 		t.Fatal(err)
 	}
-	if code := <-codec; code != http.StatusConflict {
+	gate.open()
+	if code := <-busy; code != http.StatusOK {
+		t.Fatalf("request in flight across the swap: status %d, want 200", code)
+	}
+	if code := <-stale; code != http.StatusConflict {
 		t.Fatalf("stale-width request: status %d, want 409", code)
 	}
 }
@@ -66,7 +87,7 @@ func TestReloadWidthMismatchEndToEnd(t *testing.T) {
 // batch with an error instead of killing the dispatcher goroutine (and
 // with it the process).
 func TestBatcherRecoversFromPanic(t *testing.T) {
-	b := NewBatcher(1, 0, nil, func(xs [][]float64) ([][]float64, error) {
+	b := NewBatcher(1, nil, func(xs [][]float64) ([][]float64, error) {
 		if xs[0][0] == 13 {
 			panic("poisoned forward pass")
 		}
@@ -145,9 +166,16 @@ func TestMonitorSessionIdleExpiry(t *testing.T) {
 // that hangs up mid-request: the response status is 499 and the /v1/stats
 // error count stays untouched.
 func TestCanceledRequestNotAServerError(t *testing.T) {
-	// A huge window parks the request in the dispatcher so the canceled
-	// context is what resolves it.
-	srv, _ := testServer(t, Config{BatchWindow: time.Minute, MaxBatch: 64})
+	// A forward pass in flight keeps the dispatcher busy, so the canceled
+	// context is what resolves the request.
+	srv, _ := testServer(t, Config{MaxBatch: 64})
+	gated, gate := gatedModel(t, 42, 24, 3)
+	defer gate.open()
+	if err := srv.Registry().Register("test", gated); err != nil {
+		t.Fatal(err)
+	}
+	go post(t, srv.Handler(), "/v1/predict", map[string]any{"model": "test", "intensities": ramp(24, 1)}, nil)
+	<-gate.entered
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	body, err := json.Marshal(map[string]any{"model": "test", "intensities": ramp(24, 0)})

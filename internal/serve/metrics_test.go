@@ -31,7 +31,7 @@ func scrape(t testing.TB, h http.Handler) string {
 // request through the server and asserts every advertised metric family
 // shows up in the exposition with the expected structure.
 func TestMetricsEndpoint(t *testing.T) {
-	srv, _ := testServer(t, Config{BatchWindow: time.Millisecond})
+	srv, _ := testServer(t, Config{})
 	h := srv.Handler()
 	x := ramp(24, 0)
 
@@ -138,7 +138,7 @@ func TestMetricsConcurrentScrape(t *testing.T) {
 	writeModel("alpha.json", 1)
 	writeModel("beta.json", 2)
 
-	srv, err := New(Config{ModelDir: dir, BatchWindow: time.Millisecond})
+	srv, err := New(Config{ModelDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -168,9 +168,7 @@ func TestPublishWidthChange409(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// A wide batch window keeps the request queued long enough for the
-	// publish to land between enqueue and flush.
-	srv, err := New(Config{ModelDir: dir, BatchWindow: 300 * time.Millisecond, RequestTimeout: 10 * time.Second})
+	srv, err := New(Config{ModelDir: dir, RequestTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,24 +177,45 @@ func TestPublishWidthChange409(t *testing.T) {
 		defer cancel()
 		_ = srv.Close(ctx)
 	}()
+	// A gated model of the same width holds the dispatcher in a forward
+	// pass, so the predict stays queued until the publish has landed.
+	gated, gate := gatedModel(t, 1, 24, 3)
+	if err := srv.Registry().Register("pub", gated); err != nil {
+		t.Fatal(err)
+	}
+	e, err := srv.reg.get("pub")
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
+	defer gate.open() // before ts.Close, which waits for the gated request
 
-	done := make(chan int, 1)
-	go func() {
-		body, _ := json.Marshal(map[string]any{"model": "pub", "intensities": make([]float64, 24)})
-		resp, err := http.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(body))
-		if err != nil {
-			done <- -1
-			return
-		}
-		resp.Body.Close()
-		done <- resp.StatusCode
-	}()
-	time.Sleep(50 * time.Millisecond) // let the predict enqueue
+	predict := func() <-chan int {
+		done := make(chan int, 1)
+		go func() {
+			body, _ := json.Marshal(map[string]any{"model": "pub", "intensities": make([]float64, 24)})
+			resp, err := http.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(body))
+			if err != nil {
+				done <- -1
+				return
+			}
+			resp.Body.Close()
+			done <- resp.StatusCode
+		}()
+		return done
+	}
+	busy := predict()
+	<-gate.entered
+	done := predict()
+	waitQueued(t, e.batcher, 1)
 	w := doPublish(t, srv.Handler(), "pub", saveModelBytes(t, 2, 48, 3))
 	if w.Code != http.StatusOK {
 		t.Fatalf("publish: %d %s", w.Code, w.Body.String())
+	}
+	gate.open()
+	if code := <-busy; code != http.StatusOK {
+		t.Fatalf("predict in flight across the publish finished with %d, want 200", code)
 	}
 	select {
 	case code := <-done:

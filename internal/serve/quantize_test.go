@@ -17,7 +17,7 @@ import (
 // engines (Config.Quantize).
 func quantServer(t testing.TB) *Server {
 	t.Helper()
-	srv, _ := testServer(t, Config{BatchWindow: time.Millisecond, Quantize: true})
+	srv, _ := testServer(t, Config{Quantize: true})
 	return srv
 }
 
@@ -38,7 +38,7 @@ func postRaw(t testing.TB, h http.Handler, path string, body any) *httptest.Resp
 // close (the bounded-drift contract), carry the int8 precision header and
 // still be a softmax distribution.
 func TestQuantizedPredictEndToEnd(t *testing.T) {
-	fsrv, _ := testServer(t, Config{BatchWindow: time.Millisecond})
+	fsrv, _ := testServer(t, Config{})
 	qsrv := quantServer(t)
 	x := ramp(24, 0)
 	body := map[string]any{"model": "test", "intensities": x}
@@ -84,7 +84,7 @@ func TestQuantizedModelListPrecision(t *testing.T) {
 		quantize bool
 		want     string
 	}{{false, "fp64"}, {true, "int8"}} {
-		srv, _ := testServer(t, Config{BatchWindow: time.Millisecond, Quantize: tc.quantize})
+		srv, _ := testServer(t, Config{Quantize: tc.quantize})
 		var list struct {
 			Models []ModelInfo `json:"models"`
 		}
@@ -163,7 +163,7 @@ func TestQuantizedReloadKeepsEngine(t *testing.T) {
 		}
 	}
 	write(1)
-	srv, err := New(Config{ModelDir: dir, BatchWindow: time.Millisecond, Quantize: true})
+	srv, err := New(Config{ModelDir: dir, Quantize: true})
 	if err != nil {
 		t.Fatal(err)
 	}

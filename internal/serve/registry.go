@@ -109,7 +109,6 @@ func (e *modelEntry) swap(m *nn.Model, q *nn.QuantizedModel) {
 type Registry struct {
 	workers  int
 	maxBatch int
-	window   time.Duration
 	quantize bool // serve int8 engines instead of float forward passes
 	stats    *Stats
 	mx       *serveMetrics // nil disables obs recording
@@ -121,7 +120,7 @@ type Registry struct {
 }
 
 // newRegistry wires batching parameters shared by every model's batcher.
-func newRegistry(maxBatch int, window time.Duration, workers int, quantize bool,
+func newRegistry(maxBatch, workers int, quantize bool,
 	stats *Stats, mx *serveMetrics, logger *slog.Logger) *Registry {
 	if logger == nil {
 		logger = obs.NopLogger()
@@ -129,7 +128,6 @@ func newRegistry(maxBatch int, window time.Duration, workers int, quantize bool,
 	return &Registry{
 		workers:  workers,
 		maxBatch: maxBatch,
-		window:   window,
 		quantize: quantize,
 		stats:    stats,
 		mx:       mx,
@@ -156,7 +154,7 @@ func (r *Registry) quantized(name string, m *nn.Model) (*nn.QuantizedModel, erro
 // entry's current model per flush so reloads take effect immediately.
 func (r *Registry) newEntry(name, source string, m *nn.Model, q *nn.QuantizedModel) *modelEntry {
 	e := &modelEntry{name: name, source: source, model: m, quant: q, loadedAt: time.Now()}
-	e.batcher = newBatcher(r.maxBatch, r.window, r.stats, func(xs [][]float64) ([][]float64, error) {
+	e.batcher = newBatcher(r.maxBatch, r.stats, func(xs [][]float64) ([][]float64, error) {
 		// One snapshot per flush: every row is validated against the exact
 		// model that will run the batch. Requests are preprocessed to the
 		// width current at enqueue time, so a hot reload that changes the

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,9 +19,13 @@ import (
 
 // testModel builds a small deterministic dense network: inLen -> 16 -> out
 // with a softmax head, seeded so every test run serves identical weights.
-func testModel(t testing.TB, seed uint64, inLen, outLen int) *nn.Model {
+// Any front layers run before the stack.
+func testModel(t testing.TB, seed uint64, inLen, outLen int, front ...nn.Layer) *nn.Model {
 	t.Helper()
 	m := nn.NewModel()
+	for _, l := range front {
+		m.Add(l)
+	}
 	m.Add(&nn.Dense{Out: 16})
 	act, err := nn.ActivationByName("tanh")
 	if err != nil {
@@ -52,6 +57,56 @@ func testServer(t testing.TB, cfg Config) (*Server, *nn.Model) {
 		_ = srv.Close(ctx)
 	})
 	return srv, m
+}
+
+// gateLayer is a test-only identity layer whose ForwardBatch blocks until
+// the gate is opened. A model that starts with a gate holds its dispatcher
+// busy in the first flush, so a test can queue requests behind a running
+// forward pass deterministically.
+type gateLayer struct {
+	entered   chan struct{} // closed when the first ForwardBatch starts
+	release   chan struct{}
+	enterOnce sync.Once
+	openOnce  sync.Once
+}
+
+func (g *gateLayer) Kind() string { return "gate" }
+func (g *gateLayer) Build(_ *rng.Source, in []int) ([]int, error) {
+	return in, nil
+}
+func (g *gateLayer) Forward(x []float64) []float64              { return x }
+func (g *gateLayer) Backward(d []float64) []float64             { return d }
+func (g *gateLayer) BackwardBatch(d []float64, _ int) []float64 { return d }
+func (g *gateLayer) Params() []*nn.Param                        { return nil }
+func (g *gateLayer) Spec() nn.LayerSpec                         { return nn.LayerSpec{Type: "gate"} }
+
+func (g *gateLayer) ForwardBatch(x []float64, _ int) []float64 {
+	g.enterOnce.Do(func() { close(g.entered) })
+	<-g.release
+	return x
+}
+
+// open lets every blocked and future ForwardBatch through. It is
+// idempotent, so tests defer it to release the dispatcher on any exit.
+func (g *gateLayer) open() { g.openOnce.Do(func() { close(g.release) }) }
+
+// gatedModel is testModel behind a closed gate.
+func gatedModel(t testing.TB, seed uint64, inLen, outLen int) (*nn.Model, *gateLayer) {
+	t.Helper()
+	g := &gateLayer{entered: make(chan struct{}), release: make(chan struct{})}
+	return testModel(t, seed, inLen, outLen, g), g
+}
+
+// waitQueued blocks until n requests wait in b's queue.
+func waitQueued(t testing.TB, b *Batcher, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for len(b.reqs) < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d requests queued after 10s", len(b.reqs), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // testContext bounds a test's shutdown wait.
@@ -105,7 +160,7 @@ type predictResponse struct {
 }
 
 func TestPredictEndToEnd(t *testing.T) {
-	srv, m := testServer(t, Config{BatchWindow: time.Millisecond})
+	srv, m := testServer(t, Config{})
 	x := ramp(24, 0)
 	var resp predictResponse
 	if code := post(t, srv.Handler(), "/v1/predict", map[string]any{
@@ -129,6 +184,23 @@ func TestPredictEndToEnd(t *testing.T) {
 	// empty model name resolves when exactly one model is registered
 	if code := post(t, srv.Handler(), "/v1/predict", map[string]any{"intensities": x}, &resp); code != http.StatusOK {
 		t.Fatalf("single-model predict: status %d (%s)", code, resp.Error)
+	}
+}
+
+// TestBatchWindowIgnored pins continuous batching at the server surface:
+// the deprecated BatchWindow holds no batch open, so a lone predict on an
+// idle model is answered at once even with an hour-long window.
+func TestBatchWindowIgnored(t *testing.T) {
+	srv, _ := testServer(t, Config{BatchWindow: time.Hour, RequestTimeout: 5 * time.Second})
+	start := time.Now()
+	var resp predictResponse
+	if code := post(t, srv.Handler(), "/v1/predict", map[string]any{
+		"model": "test", "intensities": ramp(24, 0),
+	}, &resp); code != http.StatusOK {
+		t.Fatalf("predict: status %d (%s), want 200", code, resp.Error)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("lone predict took %v; the dispatcher waited instead of flushing", d)
 	}
 }
 
@@ -202,7 +274,7 @@ func TestModelsListAndStats(t *testing.T) {
 }
 
 func TestMonitorSessionLifecycle(t *testing.T) {
-	srv, m := testServer(t, Config{BatchWindow: time.Millisecond})
+	srv, m := testServer(t, Config{})
 	h := srv.Handler()
 
 	var created struct {
@@ -316,7 +388,7 @@ func TestModelHotReload(t *testing.T) {
 	}
 	writeModel("alpha.json", 1)
 
-	srv, err := New(Config{ModelDir: dir, BatchWindow: time.Millisecond})
+	srv, err := New(Config{ModelDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,9 @@
 // server that turns trained, nn.Save-serialized networks into the paper's
 // closed-loop process-control service. Incoming spectra are preprocessed
 // (resampled onto the model's input axis and normalized like the training
-// corpus), routed through a per-model micro-batching dispatcher that
-// coalesces concurrent requests into single PredictBatch forward passes,
+// corpus), routed through a per-model continuous-batching dispatcher that
+// coalesces the requests queued while the model was busy into single
+// PredictBatch forward passes,
 // and optionally fed into stateful core.Monitor sessions that raise alarm
 // events on concentration-limit violations.
 //
@@ -53,8 +54,11 @@ type Config struct {
 	// MaxBatch caps how many requests one forward pass may coalesce
 	// (default 32).
 	MaxBatch int
-	// BatchWindow is how long the dispatcher waits for co-travellers after
-	// the first request of a batch (default 5ms; 0 = flush eagerly).
+	// BatchWindow is the former batch timer.
+	//
+	// Deprecated: ignored. A model's dispatcher flushes as soon as it is
+	// free, taking every request that queued while it was busy (see
+	// Batcher).
 	BatchWindow time.Duration
 	// Workers is the kernel worker count of each batched forward (0 = all
 	// cores): PredictBatch shards its convolution, activation and LSTM
@@ -95,9 +99,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
-	}
-	if c.BatchWindow < 0 {
-		c.BatchWindow = 0
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 10 * time.Second
@@ -145,7 +146,7 @@ func New(cfg Config) (*Server, error) {
 		sessions: newSessionStore(cfg.MaxSessions, cfg.SessionIdleTimeout),
 		mux:      http.NewServeMux(),
 	}
-	s.reg = newRegistry(cfg.MaxBatch, cfg.BatchWindow, cfg.Workers, cfg.Quantize, s.stats, s.mx, s.logger)
+	s.reg = newRegistry(cfg.MaxBatch, cfg.Workers, cfg.Quantize, s.stats, s.mx, s.logger)
 	cfg.Metrics.GaugeFunc("specserve_monitor_sessions",
 		"Live monitor sessions.", func() float64 { return float64(s.sessions.count()) })
 	if cfg.ModelDir != "" {

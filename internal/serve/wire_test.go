@@ -126,7 +126,7 @@ func TestWireDecodeErrors(t *testing.T) {
 // and a binary-accepting client gets those fractions back as a parseable
 // kind-2 frame.
 func TestBinaryPredictEquivalence(t *testing.T) {
-	srv, _ := testServer(t, Config{BatchWindow: 0})
+	srv, _ := testServer(t, Config{})
 	h := srv.Handler()
 	x := ramp(173, 2) // resampled onto the model's 24-wide axis either way
 
@@ -181,7 +181,7 @@ func TestBinaryPredictEquivalence(t *testing.T) {
 // TestBinaryErrorsAreJSON: a malformed binary body is a 400 with the JSON
 // error envelope — binary negotiation never changes the error contract.
 func TestBinaryErrorsAreJSON(t *testing.T) {
-	srv, _ := testServer(t, Config{BatchWindow: 0})
+	srv, _ := testServer(t, Config{})
 	h := srv.Handler()
 	req := httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader([]byte("XXXXXXXXXX")))
 	req.Header.Set("Content-Type", BinaryContentType)
@@ -200,7 +200,7 @@ func TestBinaryErrorsAreJSON(t *testing.T) {
 // TestBinaryMonitorStep: monitor steps accept SPB1 request bodies (the
 // response stays JSON — alarms don't have a binary encoding).
 func TestBinaryMonitorStep(t *testing.T) {
-	srv, _ := testServer(t, Config{BatchWindow: 0})
+	srv, _ := testServer(t, Config{})
 	h := srv.Handler()
 	var mon struct {
 		Session string `json:"session"`
@@ -234,7 +234,7 @@ func TestBinaryMonitorStep(t *testing.T) {
 // TestSessionIDSupplied: a front door can mint the session ID itself; the
 // server honors it, refuses duplicates with 409 and malformed IDs with 400.
 func TestSessionIDSupplied(t *testing.T) {
-	srv, _ := testServer(t, Config{BatchWindow: 0})
+	srv, _ := testServer(t, Config{})
 	h := srv.Handler()
 	var mon struct {
 		Session string `json:"session"`

@@ -48,12 +48,13 @@ e2e_register_log train.log
 cp -r "$TMP/models" "$TMP/models2"
 
 echo "== boot 2 backends + 1 front"
-# The wide batch window keeps churn requests queued across the whole publish
-# round trip: fleetsim only publishes once every churn worker has a request
-# in flight, so as long as the window exceeds the PUT latency the swap lands
-# while old-width rows are still batched — forcing the 409 stale-width path.
-spawn b1.log "$TMP/specserve" -models "$TMP/models" -addr "127.0.0.1:${B1_PORT}" -batch-window 150ms
-spawn b2.log "$TMP/specserve" -models "$TMP/models2" -addr "127.0.0.1:${B2_PORT}" -batch-window 150ms
+# A dispatcher backlog keeps churn requests queued across the publish round
+# trip. fleetsim only publishes once every churn worker has a request in
+# flight, and 64 churn workers against a 4-request flush cap leave old-width
+# rows waiting behind the model's forward passes while the swap lands,
+# forcing the 409 stale-width path.
+spawn b1.log "$TMP/specserve" -models "$TMP/models" -addr "127.0.0.1:${B1_PORT}" -max-batch 4
+spawn b2.log "$TMP/specserve" -models "$TMP/models2" -addr "127.0.0.1:${B2_PORT}" -max-batch 4
 wait_http "http://127.0.0.1:${B1_PORT}/healthz"
 wait_http "http://127.0.0.1:${B2_PORT}/healthz"
 spawn front.log "$TMP/specfront" -addr "127.0.0.1:${FRONT_PORT}" \
@@ -66,7 +67,7 @@ echo "== closed loop: drift at scan 18, detect, retrain, hot reload"
 REPORT="$TMP/report.json"
 e2e_register_log fleetsim.log
 "$TMP/fleetsim" -front "$FRONT" -model ms-demo -task "$TASK" -v \
-    -devices 6 -steps 46 -seed 7 -churn 8 \
+    -devices 6 -steps 46 -seed 7 -churn 64 \
     -drift-device 3 -drift-start 18 -drift-ramp 6 \
     -drift-mass-shift 1.2 -drift-gain-tilt 2 -drift-fwhm-growth 3 -drift-noise-growth 6 \
     -det-calibrate 8 -det-threshold-factor 1.8 -det-trip-factor 4 \

@@ -32,9 +32,9 @@ echo "== train demo model"
 "$TMP/specserve" -train-demo "$TMP/models" -demo-samples 120 >"$TMP/train.log" 2>&1
 
 echo "== boot 2 backends + 1 front"
-spawn b1.log "$TMP/specserve" -models "$TMP/models" -addr "127.0.0.1:${B1_PORT}" -batch-window 1ms
+spawn b1.log "$TMP/specserve" -models "$TMP/models" -addr "127.0.0.1:${B1_PORT}"
 B1_PID=$SPAWN_PID
-spawn b2.log "$TMP/specserve" -models "$TMP/models" -addr "127.0.0.1:${B2_PORT}" -batch-window 1ms
+spawn b2.log "$TMP/specserve" -models "$TMP/models" -addr "127.0.0.1:${B2_PORT}"
 B2_PID=$SPAWN_PID
 
 wait_http "http://127.0.0.1:${B1_PORT}/healthz"
