@@ -376,11 +376,13 @@ func BenchmarkAblationAugmentation(b *testing.B) {
 	}
 }
 
-// fig7Augmenter builds the Fig. 7-scale NMR augmenter (the paper's central
-// data-augmentation workload: 1700-point spectra, four components, shift
-// and width jitter plus noise) in cached or legacy-exact rendering mode.
-func fig7Augmenter(exact bool) *nmrsim.Augmenter {
-	return &nmrsim.Augmenter{
+// BenchmarkFig7AugmentationCached renders Fig. 7-scale augmented corpora
+// (the paper's central data-augmentation workload: 1700-point spectra,
+// four components, shift and width jitter plus noise) on a single core,
+// reusing one dataset so generation runs at its zero-alloc steady state;
+// throughput is reported in spectra per second.
+func BenchmarkFig7AugmentationCached(b *testing.B) {
+	a := &nmrsim.Augmenter{
 		Axis:           nmrsim.Axis(),
 		Components:     nmrsim.TrueComponents(),
 		ConcLo:         []float64{0, 0, 0, 0},
@@ -389,16 +391,8 @@ func fig7Augmenter(exact bool) *nmrsim.Augmenter {
 		WidthJitter:    0.05,
 		NoiseSigma:     0.01,
 		IntensityScale: 0.05,
-		Workers:        1, // single core: the speedup must come from the engine, not parallelism
-		ExactRender:    exact,
+		Workers:        1, // single core: throughput comes from the engine, not parallelism
 	}
-}
-
-// fig7AugmentationBench renders Fig. 7-scale augmented corpora through the
-// given render mode, reusing one dataset so the cached path runs at its
-// zero-alloc steady state; throughput is reported in spectra per second.
-func fig7AugmentationBench(b *testing.B, exact bool) {
-	a := fig7Augmenter(exact)
 	const n = 100
 	d, err := a.Generate(n, 1)
 	if err != nil {
@@ -413,17 +407,10 @@ func fig7AugmentationBench(b *testing.B, exact bool) {
 	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "spectra/s")
 }
 
-// BenchmarkFig7AugmentationExact is the legacy analytic renderer baseline
-// of the render-engine speedup study (BENCH_render.json).
-func BenchmarkFig7AugmentationExact(b *testing.B) { fig7AugmentationBench(b, true) }
-
-// BenchmarkFig7AugmentationCached renders the bit-compatible corpus through
-// the cached-template engine on the same single core.
-func BenchmarkFig7AugmentationCached(b *testing.B) { fig7AugmentationBench(b, false) }
-
-// fig4CorpusRenderBench is the MS half of the render study: one Fig. 4
-// simulated training corpus on a single core, cached vs exact rendering.
-func fig4CorpusRenderBench(b *testing.B, opts msim.TrainingOptions) {
+// BenchmarkFig4CorpusRenderCached is the MS half of the render study: one
+// Fig. 4 simulated training corpus on a single core, composed from cached
+// instrument-rendered compound templates.
+func BenchmarkFig4CorpusRenderCached(b *testing.B) {
 	comps, err := msim.Compounds(msim.DefaultTask...)
 	if err != nil {
 		b.Fatal(err)
@@ -435,27 +422,15 @@ func fig4CorpusRenderBench(b *testing.B, opts msim.TrainingOptions) {
 	model := msim.DefaultTrueModel()
 	axis := msim.DefaultAxis()
 	const n = 250
-	d, err := msim.GenerateTrainingWith(sim, model, axis, n, 1.0, 1, 1, opts)
+	d, err := msim.GenerateTraining(sim, model, axis, n, 1.0, 1, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := msim.GenerateTrainingInto(d, sim, model, axis, n, 1.0, uint64(i), 1, opts); err != nil {
+		if err := msim.GenerateTrainingInto(d, sim, model, axis, n, 1.0, uint64(i), 1, msim.TrainingOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "spectra/s")
-}
-
-// BenchmarkFig4CorpusRenderExact is the legacy per-sample Mixture+Measure
-// baseline of the MS corpus-generation speedup.
-func BenchmarkFig4CorpusRenderExact(b *testing.B) {
-	fig4CorpusRenderBench(b, msim.TrainingOptions{ExactRender: true})
-}
-
-// BenchmarkFig4CorpusRenderCached composes the same corpus from cached
-// instrument-rendered compound templates.
-func BenchmarkFig4CorpusRenderCached(b *testing.B) {
-	fig4CorpusRenderBench(b, msim.TrainingOptions{})
 }

@@ -31,8 +31,6 @@ func main() {
 		scale     = flag.String("scale", "laptop", "workload scale: quick | laptop | paper")
 		seed      = flag.Uint64("seed", 1, "experiment seed")
 		workers   = flag.Int("workers", 0, "generation/training worker count (0 = all cores); results are identical for any value")
-		exact     = flag.Bool("exact-render", false, "force the legacy analytic peak renderer for corpus generation (slower, bit-identical to pre-render-engine corpora)")
-		oversamp  = flag.Int("render-oversample", 0, "render-engine master-grid oversampling factor (0 = automatic)")
 		stream    = flag.Bool("stream", false, "render both training corpora on demand instead of materializing them (bit-identical networks, bounded memory)")
 		ckpt      = flag.String("checkpoint", "", "with -stream: checkpoint path prefix; the CNN writes (and resumes from) <prefix>-nmr-cnn.ckpt and the LSTM <prefix>-nmr-lstm.ckpt every epoch")
 		verbose   = flag.Bool("v", false, "per-epoch training logs")
@@ -54,7 +52,6 @@ func main() {
 		fatal(fmt.Errorf("-checkpoint requires -stream"))
 	}
 	cfg := experiments.Config{Scale: sc, Seed: *seed, Workers: *workers,
-		ExactRender: *exact, RenderOversample: *oversamp,
 		Stream: *stream, Checkpoint: *ckpt}
 	if *verbose {
 		cfg.Verbose = os.Stderr

@@ -47,8 +47,6 @@ func main() {
 		ckpt      = flag.String("checkpoint", "", "with -stream-demo/-lstm-stream-demo: checkpoint path written every epoch and resumed from when it exists")
 		seed      = flag.Uint64("seed", 1, "simulation seed")
 		workers   = flag.Int("workers", 0, "generation/training worker count (0 = all cores); results are identical for any value")
-		exact     = flag.Bool("exact-render", false, "force the legacy analytic peak renderer for corpus generation (slower, bit-identical to pre-render-engine corpora)")
-		oversamp  = flag.Int("render-oversample", 0, "render-engine master-grid oversampling factor (0 = automatic)")
 		logFormat = flag.String("log-format", "text", "diagnostic log format: text or json")
 	)
 	flag.Parse()
@@ -62,8 +60,7 @@ func main() {
 	ran := false
 	if *fig4 {
 		ran = true
-		cfg := experiments.Config{Seed: *seed, Workers: *workers,
-			ExactRender: *exact, RenderOversample: *oversamp}
+		cfg := experiments.Config{Seed: *seed, Workers: *workers}
 		if _, _, err := experiments.Fig4(cfg, os.Stdout); err != nil {
 			fatal(err)
 		}
@@ -87,7 +84,7 @@ func main() {
 	}
 	if *demoStore != "" {
 		ran = true
-		if err := buildDemoStore(*demoStore, *seed, *workers, *exact); err != nil {
+		if err := buildDemoStore(*demoStore, *seed, *workers); err != nil {
 			fatal(err)
 		}
 	}
@@ -99,13 +96,13 @@ func main() {
 	}
 	if *streamN > 0 {
 		ran = true
-		if err := runStreamDemo(*streamN, *seed, *workers, *exact, *maxHeapMB, *ckpt); err != nil {
+		if err := runStreamDemo(*streamN, *seed, *workers, *maxHeapMB, *ckpt); err != nil {
 			fatal(err)
 		}
 	}
 	if *lstmN > 0 {
 		ran = true
-		if err := runLSTMStreamDemo(*lstmN, *seed, *workers, *exact, *maxHeapMB, *ckpt); err != nil {
+		if err := runLSTMStreamDemo(*lstmN, *seed, *workers, *maxHeapMB, *ckpt); err != nil {
 			fatal(err)
 		}
 	}
@@ -191,14 +188,13 @@ func inspectStore(path, lineageID string) error {
 // buildDemoStore runs characterization + training-data generation + a
 // short training through a provenance-recording pipeline and saves the
 // resulting document store.
-func buildDemoStore(path string, seed uint64, workers int, exactRender bool) error {
+func buildDemoStore(path string, seed uint64, workers int) error {
 	st := store.New()
 	pipe, err := core.NewMSPipeline(core.MSConfig{
 		TrainSamples: 200,
 		Epochs:       1,
 		Seed:         seed,
 		Workers:      workers,
-		ExactRender:  exactRender,
 		Store:        st,
 	})
 	if err != nil {
@@ -243,7 +239,7 @@ func buildDemoStore(path string, seed uint64, workers int, exactRender bool) err
 // sampler tracks peak heap; with a positive limit the demo fails when
 // training memory exceeds it — the regression gate the CI small-heap job
 // runs under GOMEMLIMIT.
-func runStreamDemo(n int, seed uint64, workers int, exactRender bool, maxHeapMB int, checkpoint string) error {
+func runStreamDemo(n int, seed uint64, workers, maxHeapMB int, checkpoint string) error {
 	comps, err := msim.Compounds(msim.DefaultTask...)
 	if err != nil {
 		return err
@@ -254,7 +250,7 @@ func runStreamDemo(n int, seed uint64, workers int, exactRender bool, maxHeapMB 
 	}
 	axis := msim.DefaultAxis()
 	src, _, err := msim.NewTrainingStream(sim, msim.DefaultTrueModel(), axis, n, 1.0, seed,
-		msim.TrainingOptions{ExactRender: exactRender})
+		msim.TrainingOptions{})
 	if err != nil {
 		return err
 	}
@@ -306,15 +302,14 @@ func runStreamDemo(n int, seed uint64, workers int, exactRender bool, maxHeapMB 
 // validation split — not the n x steps x 1700-point corpus. Same peak-heap
 // regression gate as runStreamDemo; the CI small-heap job runs both under
 // GOMEMLIMIT.
-func runLSTMStreamDemo(n int, seed uint64, workers int, exactRender bool, maxHeapMB int, checkpoint string) error {
+func runLSTMStreamDemo(n int, seed uint64, workers, maxHeapMB int, checkpoint string) error {
 	const steps, maxRepeat = 5, 20
 	p := core.NewNMRPipeline(core.NMRConfig{
-		Windows:     n,
-		Steps:       steps,
-		MaxRepeat:   maxRepeat,
-		Seed:        seed,
-		Workers:     workers,
-		ExactRender: exactRender,
+		Windows:   n,
+		Steps:     steps,
+		MaxRepeat: maxRepeat,
+		Seed:      seed,
+		Workers:   workers,
 	})
 	if err := p.FitComponents(); err != nil {
 		return err

@@ -60,10 +60,6 @@ type MSConfig struct {
 	// above-baseline signal outside known fragment regions before Predict
 	// rejects an input (default 0.08).
 	PlausibilityThreshold float64
-	// ExactRender forces the legacy per-sample renderer during corpus
-	// generation instead of the cached-template fast path (slower,
-	// bit-identical to pre-cache corpora; see DESIGN.md).
-	ExactRender bool
 	// Store, when non-nil, records datasets and networks with provenance.
 	Store *store.Store
 }
@@ -189,9 +185,8 @@ func (p *MSPipeline) GenerateTraining() (*dataset.Dataset, error) {
 	if p.instrument == nil {
 		return nil, fmt.Errorf("core: characterize the instrument before generating training data")
 	}
-	d, err := msim.GenerateTrainingWith(p.sim, p.instrument, p.cfg.Axis,
-		p.cfg.TrainSamples, p.cfg.Alpha, p.cfg.Seed+1, p.cfg.Workers,
-		msim.TrainingOptions{ExactRender: p.cfg.ExactRender})
+	d, err := msim.GenerateTraining(p.sim, p.instrument, p.cfg.Axis,
+		p.cfg.TrainSamples, p.cfg.Alpha, p.cfg.Seed+1, p.cfg.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -36,13 +36,6 @@ type NMRConfig struct {
 	Workers int
 	// MaxPureFitPeaks bounds the IHM pure-component fits.
 	MaxPureFitPeaks int
-	// ExactRender forces the legacy analytic peak renderer during corpus
-	// generation instead of the cached-template render engine (slower,
-	// bit-identical to pre-engine corpora; see DESIGN.md).
-	ExactRender bool
-	// RenderOversample overrides the render engine's automatic master-grid
-	// oversampling factor (0 = automatic).
-	RenderOversample int
 	// Stream renders both training corpora on demand through the nn
 	// prefetch pipeline instead of materializing them: the CNN corpus via a
 	// per-sample seeded stream, the order-dependent rolling-window LSTM
@@ -134,17 +127,15 @@ func (p *NMRPipeline) FitComponents() error {
 	}
 	p.analyzer = an
 	p.augmenter = &nmrsim.Augmenter{
-		Axis:             p.LowField.Axis,
-		Components:       comps,
-		ConcLo:           []float64{0, 0, 0, 0},
-		ConcHi:           []float64{0.6, 0.6, 0.6, 0.5},
-		ShiftJitter:      p.LowField.ShiftJitter,
-		WidthJitter:      p.LowField.WidthJitter,
-		NoiseSigma:       p.LowField.NoiseSigma,
-		IntensityScale:   p.LowField.IntensityScale,
-		Workers:          p.cfg.Workers,
-		ExactRender:      p.cfg.ExactRender,
-		RenderOversample: p.cfg.RenderOversample,
+		Axis:           p.LowField.Axis,
+		Components:     comps,
+		ConcLo:         []float64{0, 0, 0, 0},
+		ConcHi:         []float64{0.6, 0.6, 0.6, 0.5},
+		ShiftJitter:    p.LowField.ShiftJitter,
+		WidthJitter:    p.LowField.WidthJitter,
+		NoiseSigma:     p.LowField.NoiseSigma,
+		IntensityScale: p.LowField.IntensityScale,
+		Workers:        p.cfg.Workers,
 	}
 	return nil
 }

@@ -38,8 +38,7 @@ func AblationAugmentation(cfg Config, w io.Writer) (*AblationResult, error) {
 		cnnTrain, epochs = 600, 8
 	}
 
-	p := core.NewNMRPipeline(core.NMRConfig{Seed: cfg.Seed, Workers: cfg.Workers,
-		ExactRender: cfg.ExactRender, RenderOversample: cfg.RenderOversample})
+	p := core.NewNMRPipeline(core.NMRConfig{Seed: cfg.Seed, Workers: cfg.Workers})
 	if err := p.FitComponents(); err != nil {
 		return nil, err
 	}

@@ -54,12 +54,6 @@ type Config struct {
 	// Workers is the worker count for data generation, training and batch
 	// inference (0 = all cores). Results are bit-identical for any value.
 	Workers int
-	// ExactRender forces the legacy analytic peak renderer for all corpus
-	// generation (slower; bit-identical to pre-render-engine corpora).
-	ExactRender bool
-	// RenderOversample overrides the render engine's automatic master-grid
-	// oversampling factor (0 = automatic).
-	RenderOversample int
 	// Stream renders training corpora on demand through the nn prefetch
 	// pipeline instead of materializing them first. Trained networks are
 	// bit-identical to the materialized path; peak memory holds only the

@@ -73,13 +73,11 @@ func QuantizationStudy(cfg Config, w io.Writer) ([]QuantizationRow, error) {
 		cnnTrain, epochs = 600, 8
 	}
 	p := core.NewNMRPipeline(core.NMRConfig{
-		TrainSamples:     cnnTrain,
-		Epochs:           epochs,
-		BatchSize:        32,
-		Seed:             cfg.Seed,
-		Workers:          cfg.Workers,
-		ExactRender:      cfg.ExactRender,
-		RenderOversample: cfg.RenderOversample,
+		TrainSamples: cnnTrain,
+		Epochs:       epochs,
+		BatchSize:    32,
+		Seed:         cfg.Seed,
+		Workers:      cfg.Workers,
 	})
 	if err := p.FitComponents(); err != nil {
 		return nil, err
@@ -155,8 +153,7 @@ func HybridNMR(cfg Config, w io.Writer) (*HybridResult, error) {
 	_, lstmWindows, epochs, _ := cfg.nmrSizes()
 	const steps = 5
 
-	p := core.NewNMRPipeline(core.NMRConfig{Seed: cfg.Seed, Workers: cfg.Workers,
-		ExactRender: cfg.ExactRender, RenderOversample: cfg.RenderOversample})
+	p := core.NewNMRPipeline(core.NMRConfig{Seed: cfg.Seed, Workers: cfg.Workers})
 	if err := p.FitComponents(); err != nil {
 		return nil, err
 	}

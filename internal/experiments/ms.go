@@ -67,9 +67,8 @@ func (w *msWorld) trainVariant(spec toolflow.TopologySpec, model *msim.Instrumen
 	workers, verbose := cfg.Workers, cfg.Verbose
 	spec.Workers = workers
 	runner := &toolflow.Runner{Verbose: verbose}
-	opts := msim.TrainingOptions{ExactRender: cfg.ExactRender}
 	if cfg.Stream {
-		src, names, err := msim.NewTrainingStream(w.sim, model, w.axis, trainSamples, 1.0, seed, opts)
+		src, names, err := msim.NewTrainingStream(w.sim, model, w.axis, trainSamples, 1.0, seed, msim.TrainingOptions{})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -96,7 +95,7 @@ func (w *msWorld) trainVariant(spec toolflow.TopologySpec, model *msim.Instrumen
 		}
 		return res, val, nil
 	}
-	d, err := msim.GenerateTrainingWith(w.sim, model, w.axis, trainSamples, 1.0, seed, workers, opts)
+	d, err := msim.GenerateTraining(w.sim, model, w.axis, trainSamples, 1.0, seed, workers)
 	if err != nil {
 		return nil, nil, err
 	}

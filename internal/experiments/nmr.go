@@ -46,19 +46,17 @@ func NMR(cfg Config, w io.Writer) (*NMRResult, error) {
 	const steps = 5
 
 	p := core.NewNMRPipeline(core.NMRConfig{
-		TrainSamples:     cnnTrain,
-		Windows:          lstmWindows,
-		Steps:            steps,
-		MaxRepeat:        20,
-		Epochs:           epochs,
-		BatchSize:        32,
-		Seed:             cfg.Seed,
-		Workers:          cfg.Workers,
-		ExactRender:      cfg.ExactRender,
-		RenderOversample: cfg.RenderOversample,
-		Stream:           cfg.Stream,
-		Checkpoint:       cnnCheckpoint(cfg),
-		LSTMCheckpoint:   lstmCheckpoint(cfg),
+		TrainSamples:   cnnTrain,
+		Windows:        lstmWindows,
+		Steps:          steps,
+		MaxRepeat:      20,
+		Epochs:         epochs,
+		BatchSize:      32,
+		Seed:           cfg.Seed,
+		Workers:        cfg.Workers,
+		Stream:         cfg.Stream,
+		Checkpoint:     cnnCheckpoint(cfg),
+		LSTMCheckpoint: lstmCheckpoint(cfg),
 	})
 	if err := p.FitComponents(); err != nil {
 		return nil, err

@@ -21,16 +21,12 @@ func DefaultAxis() spectrum.Axis {
 // scale.
 func Preprocess(s *spectrum.Spectrum) []float64 {
 	x := make([]float64, len(s.Intensities))
-	PreprocessInto(x, s)
+	preprocessInto(x, s.Intensities)
 	return x
 }
 
-// PreprocessInto is Preprocess writing into a caller-owned buffer of the
-// same length as the spectrum.
-func PreprocessInto(dst []float64, s *spectrum.Spectrum) {
-	preprocessInto(dst, s.Intensities)
-}
-
+// preprocessInto is Preprocess of the raw intensities src, writing into
+// dst of the same length.
 func preprocessInto(dst, src []float64) {
 	sum := 0.0
 	for i, v := range src {
@@ -127,9 +123,8 @@ func CollectReferences(vi *VirtualInstrument, sim *LineSimulator, axis spectrum.
 // Generation runs on `workers` goroutines (0 = all cores). Every sample i
 // draws from its own rng.Split-derived child stream keyed by i, so the
 // corpus is bit-identical for any worker count: equal (seed, n, alpha)
-// always yield equal datasets. Rendering uses the cached-template fast
-// path (see GenerateTrainingWith / TrainingOptions for the exact legacy
-// renderer).
+// always yield equal datasets. Each sample is a fraction-weighted sum of
+// per-compound templates rendered once through the instrument model.
 func GenerateTraining(sim *LineSimulator, model *InstrumentModel, axis spectrum.Axis,
 	n int, alpha float64, seed uint64, workers int) (*dataset.Dataset, error) {
 	return GenerateTrainingWith(sim, model, axis, n, alpha, seed, workers, TrainingOptions{})

@@ -13,16 +13,8 @@ import (
 	"specml/internal/spectrum"
 )
 
-// TrainingOptions selects the rendering strategy of GenerateTrainingWith.
+// TrainingOptions configures GenerateTrainingWith and NewTrainingStream.
 type TrainingOptions struct {
-	// ExactRender forces the legacy per-sample Mixture + Measure path,
-	// bit-identical to the pre-cache generator. The default cached path
-	// renders each compound's fragmentation pattern through the instrument
-	// model once and composes samples as fraction-weighted template sums,
-	// which additionally carries the analytic Lorentzian tail correction the
-	// truncating exact renderer lacks (values agree to ~1e-4 of the peak
-	// scale, dominated by that tail).
-	ExactRender bool
 	// Metrics, when non-nil, receives corpus-generation throughput:
 	// specml_corpus_samples_total{source="msim"} and a wall-clock
 	// specml_corpus_generate_seconds histogram. Recording happens once per
@@ -38,9 +30,14 @@ var corpusGenBuckets = obs.ExponentialBuckets(1e-3, 2, 18)
 // and peak width depend only on line position — so the spectrum of any
 // mixture is the fraction-weighted sum of the pure-compound templates plus
 // the composition-independent background (ignition artifact and baseline).
+// The templates carry the analytic Lorentzian tail correction that the
+// truncating Measure renderer lacks (values agree to ~1e-4 of the peak
+// scale, dominated by that tail).
 type renderCache struct {
 	comp [][]float64 // pure-compound renders, label order
 	bg   []float64   // ignition peak + baseline drift
+
+	noiseFloor, noiseScale float64 // the instrument's noise model
 }
 
 // modelPeaks converts one ideal line spectrum into instrument peaks,
@@ -66,7 +63,11 @@ func modelPeaks(m *InstrumentModel, ls *spectrum.LineSpectrum) []spectrum.Peak {
 // instrument model once. Templates use the tail-corrected renderer, so the
 // 12-width cutoff loses no Lorentzian area.
 func newRenderCache(sim *LineSimulator, model *InstrumentModel, axis spectrum.Axis) (*renderCache, error) {
-	c := &renderCache{comp: make([][]float64, len(sim.pure))}
+	c := &renderCache{
+		comp:       make([][]float64, len(sim.pure)),
+		noiseFloor: model.NoiseFloor,
+		noiseScale: model.NoiseScale,
+	}
 	for k, ls := range sim.pure {
 		s := spectrum.New(axis)
 		if err := spectrum.RenderPeaksTailCorrected(s, modelPeaks(model, ls), 12); err != nil {
@@ -95,7 +96,31 @@ func newRenderCache(sim *LineSimulator, model *InstrumentModel, axis spectrum.Ax
 	return c, nil
 }
 
-// GenerateTrainingWith is GenerateTraining with explicit rendering options.
+// renderInto draws one sample from src: a Dirichlet(alpha) composition
+// into y and its measured, preprocessed spectrum into x. raw (length
+// axis.N) is scratch for the unpreprocessed spectrum; nothing allocates.
+func (c *renderCache) renderInto(x, y, raw []float64, alpha float64, src *rng.Source) {
+	src.Dirichlet(alpha, y)
+	copy(raw, c.bg)
+	for k, f := range y {
+		if f == 0 {
+			continue
+		}
+		tmpl := c.comp[k]
+		for j, t := range tmpl {
+			raw[j] += f * t
+		}
+	}
+	if c.noiseFloor > 0 || c.noiseScale > 0 {
+		for j, v := range raw {
+			sigma := c.noiseFloor + c.noiseScale*math.Abs(v)
+			raw[j] = v + src.Normal(0, sigma)
+		}
+	}
+	preprocessInto(x, raw)
+}
+
+// GenerateTrainingWith is GenerateTraining with explicit options.
 func GenerateTrainingWith(sim *LineSimulator, model *InstrumentModel, axis spectrum.Axis,
 	n int, alpha float64, seed uint64, workers int, opts TrainingOptions) (*dataset.Dataset, error) {
 	d := dataset.New(n)
@@ -106,8 +131,8 @@ func GenerateTrainingWith(sim *LineSimulator, model *InstrumentModel, axis spect
 }
 
 // GenerateTrainingInto is GenerateTrainingWith writing into an existing
-// dataset, reusing its row storage (grow-only). On the cached path,
-// steady-state regeneration performs zero heap allocation per sample.
+// dataset, reusing its row storage (grow-only). Steady-state regeneration
+// performs zero heap allocation per sample.
 // Generation runs under a pprof "corpus-msim" stage label (inherited by
 // the parallel workers) and, when opts.Metrics is set, reports samples and
 // duration through the registry.
@@ -115,7 +140,7 @@ func GenerateTrainingInto(d *dataset.Dataset, sim *LineSimulator, model *Instrum
 	axis spectrum.Axis, n int, alpha float64, seed uint64, workers int, opts TrainingOptions) error {
 	start := time.Now()
 	err := obs.WithStage("corpus-msim", func() error {
-		return generateTrainingInto(d, sim, model, axis, n, alpha, seed, workers, opts)
+		return generateTrainingInto(d, sim, model, axis, n, alpha, seed, workers)
 	})
 	if opts.Metrics != nil && err == nil {
 		opts.Metrics.Counter("specml_corpus_samples_total",
@@ -128,7 +153,7 @@ func GenerateTrainingInto(d *dataset.Dataset, sim *LineSimulator, model *Instrum
 }
 
 func generateTrainingInto(d *dataset.Dataset, sim *LineSimulator, model *InstrumentModel,
-	axis spectrum.Axis, n int, alpha float64, seed uint64, workers int, opts TrainingOptions) error {
+	axis spectrum.Axis, n int, alpha float64, seed uint64, workers int) error {
 	if n <= 0 {
 		return fmt.Errorf("msim: need a positive sample count, got %d", n)
 	}
@@ -146,27 +171,9 @@ func generateTrainingInto(d *dataset.Dataset, sim *LineSimulator, model *Instrum
 		seeds[i] = root.Uint64()
 	}
 
-	if opts.ExactRender {
-		return parallel.For(workers, n, func(_, i int) error {
-			src := rng.New(seeds[i])
-			frac := sim.RandomFractions(src, alpha)
-			ideal, err := sim.Mixture(frac)
-			if err != nil {
-				return err
-			}
-			s, err := model.Measure(ideal, axis, src)
-			if err != nil {
-				return err
-			}
-			PreprocessInto(d.X[i], s)
-			copy(d.Y[i], frac)
-			return nil
-		})
-	}
-
-	// Cached path: templates are built deterministically before the
-	// parallel wave; each worker reuses one raw-spectrum buffer and one
-	// reseedable source, so the wave itself does not allocate.
+	// Templates are built deterministically before the parallel wave; each
+	// worker reuses one raw-spectrum buffer and one reseedable source, so
+	// the wave itself does not allocate.
 	cache, err := newRenderCache(sim, model, axis)
 	if err != nil {
 		return err
@@ -181,30 +188,10 @@ func generateTrainingInto(d *dataset.Dataset, sim *LineSimulator, model *Instrum
 		raws[w] = make([]float64, axis.N)
 		srcs[w] = rng.New(0)
 	}
-	noisy := model.NoiseFloor > 0 || model.NoiseScale > 0
 	return parallel.For(nw, n, func(w, i int) error {
 		src := srcs[w]
 		src.Reseed(seeds[i])
-		frac := d.Y[i]
-		src.Dirichlet(alpha, frac)
-		raw := raws[w]
-		copy(raw, cache.bg)
-		for k, f := range frac {
-			if f == 0 {
-				continue
-			}
-			tmpl := cache.comp[k]
-			for j, t := range tmpl {
-				raw[j] += f * t
-			}
-		}
-		if noisy {
-			for j, v := range raw {
-				sigma := model.NoiseFloor + model.NoiseScale*math.Abs(v)
-				raw[j] = v + src.Normal(0, sigma)
-			}
-		}
-		preprocessInto(d.X[i], raw)
+		cache.renderInto(d.X[i], d.Y[i], raws[w], alpha, src)
 		return nil
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"specml/internal/fit"
+	"specml/internal/rng"
 	"specml/internal/spectrum"
 )
 
@@ -64,55 +65,45 @@ func TestCachedTrainingMatchesFullAxisReference(t *testing.T) {
 	}
 }
 
-// TestCachedTrainingAgainstExactOption: labels are bit-identical between
-// the cached and exact paths (same draw sequence), and with a noiseless
-// model the spectra agree up to the Lorentzian tail intensity the exact
-// cutoff renderer discards.
+// TestCachedTrainingAgainstExactOption: the cached corpus must agree with
+// the instrument simulator's exact per-sample measurement, replayed here
+// from each sample's Split seed: labels drawn by RandomFractions, spectra
+// by Mixture + Measure + Preprocess. Labels are bit-identical (same draw
+// sequence), and with a noiseless model the spectra agree up to the
+// Lorentzian tail intensity that Measure's 12-width cutoff discards. This
+// also checks that modelPeaks mirrors Measure.
 func TestCachedTrainingAgainstExactOption(t *testing.T) {
 	sim := taskSim(t)
 	model := DefaultTrueModel().Clone()
 	model.NoiseFloor, model.NoiseScale = 0, 0
 	axis := DefaultAxis()
-	cached, err := GenerateTrainingWith(sim, model, axis, 12, 1, 7, 2, TrainingOptions{})
+	const n, seed = 12, 7
+	cached, err := GenerateTrainingWith(sim, model, axis, n, 1, seed, 2, TrainingOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := GenerateTrainingWith(sim, model, axis, 12, 1, 7, 2, TrainingOptions{ExactRender: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cached.Y {
-		for j := range cached.Y[i] {
-			if cached.Y[i][j] != exact.Y[i][j] {
-				t.Fatalf("label [%d][%d] differs between cached and exact", i, j)
+	root := rng.New(seed)
+	for i := 0; i < n; i++ {
+		src := rng.New(root.Uint64())
+		frac := sim.RandomFractions(src, 1)
+		for j := range frac {
+			if cached.Y[i][j] != frac[j] {
+				t.Fatalf("label [%d][%d] = %v, replay drew %v", i, j, cached.Y[i][j], frac[j])
 			}
 		}
-		scale := maxAbs(exact.X[i])
-		for j := range cached.X[i] {
-			if diff := math.Abs(cached.X[i][j] - exact.X[i][j]); diff > 1e-2*scale {
-				t.Fatalf("X[%d][%d]: cached %v vs exact %v", i, j, cached.X[i][j], exact.X[i][j])
-			}
+		ideal, err := sim.Mixture(frac)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// TestExactOptionDeterministic: the legacy path behind the ExactRender
-// option must stay deterministic and produce simplex labels.
-func TestExactOptionDeterministic(t *testing.T) {
-	sim := taskSim(t)
-	model := DefaultTrueModel()
-	d1, err := GenerateTrainingWith(sim, model, DefaultAxis(), 10, 1, 13, 1, TrainingOptions{ExactRender: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := GenerateTrainingWith(sim, model, DefaultAxis(), 10, 1, 13, 3, TrainingOptions{ExactRender: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range d1.X {
-		for j := range d1.X[i] {
-			if d1.X[i][j] != d2.X[i][j] {
-				t.Fatalf("exact path X[%d][%d] depends on worker count", i, j)
+		s, err := model.Measure(ideal, axis, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := Preprocess(s)
+		scale := maxAbs(want)
+		for j := range want {
+			if diff := math.Abs(cached.X[i][j] - want[j]); diff > 1e-2*scale {
+				t.Fatalf("X[%d][%d]: cached %v vs measured %v", i, j, cached.X[i][j], want[j])
 			}
 		}
 	}
@@ -147,8 +138,8 @@ func TestGenerateTrainingIntoReuse(t *testing.T) {
 	}
 }
 
-// TestPreprocessIntoMatchesPreprocess: the in-place variant must agree with
-// the allocating one bit for bit.
+// TestPreprocessIntoMatchesPreprocess: the in-place variant the corpus
+// generators use must agree with the allocating one bit for bit.
 func TestPreprocessIntoMatchesPreprocess(t *testing.T) {
 	sim := taskSim(t)
 	model := DefaultTrueModel()
@@ -162,7 +153,7 @@ func TestPreprocessIntoMatchesPreprocess(t *testing.T) {
 	}
 	want := Preprocess(s)
 	got := make([]float64, len(s.Intensities))
-	PreprocessInto(got, s)
+	preprocessInto(got, s.Intensities)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("sample %d: %v vs %v", i, got[i], want[i])

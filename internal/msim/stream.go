@@ -2,7 +2,6 @@ package msim
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"specml/internal/dataset"
@@ -21,9 +20,9 @@ import (
 // mini-batches in memory.
 //
 // The second return value is the compound name list (dataset.Dataset.Names
-// of the materialized equivalent). Batch is safe for concurrent calls; the
-// cached path reuses pooled raw-spectrum buffers and performs zero
-// steady-state allocation per sample.
+// of the materialized equivalent). Batch is safe for concurrent calls; it
+// reuses pooled raw-spectrum buffers and performs zero steady-state
+// allocation per sample.
 func NewTrainingStream(sim *LineSimulator, model *InstrumentModel, axis spectrum.Axis,
 	n int, alpha float64, seed uint64, opts TrainingOptions) (*dataset.Stream, []string, error) {
 	if n <= 0 {
@@ -33,56 +32,17 @@ func NewTrainingStream(sim *LineSimulator, model *InstrumentModel, axis spectrum
 		return nil, nil, err
 	}
 
-	var render dataset.RenderFunc
-	if opts.ExactRender {
-		// Legacy per-sample Mixture + Measure path. Reseed(seeds[i]) puts the
-		// stream in the exact state rng.New(seeds[i]) gives the generator.
-		render = func(_ int, src *rng.Source, x, y []float64) error {
-			frac := sim.RandomFractions(src, alpha)
-			ideal, err := sim.Mixture(frac)
-			if err != nil {
-				return err
-			}
-			s, err := model.Measure(ideal, axis, src)
-			if err != nil {
-				return err
-			}
-			PreprocessInto(x, s)
-			copy(y, frac)
-			return nil
-		}
-	} else {
-		cache, err := newRenderCache(sim, model, axis)
-		if err != nil {
-			return nil, nil, err
-		}
-		var raws sync.Pool
-		raws.New = func() any { b := make([]float64, axis.N); return &b }
-		noisy := model.NoiseFloor > 0 || model.NoiseScale > 0
-		render = func(_ int, src *rng.Source, x, y []float64) error {
-			src.Dirichlet(alpha, y)
-			rp := raws.Get().(*[]float64)
-			raw := *rp
-			copy(raw, cache.bg)
-			for k, f := range y {
-				if f == 0 {
-					continue
-				}
-				tmpl := cache.comp[k]
-				for j, t := range tmpl {
-					raw[j] += f * t
-				}
-			}
-			if noisy {
-				for j, v := range raw {
-					sigma := model.NoiseFloor + model.NoiseScale*math.Abs(v)
-					raw[j] = v + src.Normal(0, sigma)
-				}
-			}
-			preprocessInto(x, raw)
-			raws.Put(rp)
-			return nil
-		}
+	cache, err := newRenderCache(sim, model, axis)
+	if err != nil {
+		return nil, nil, err
+	}
+	var raws sync.Pool
+	raws.New = func() any { b := make([]float64, axis.N); return &b }
+	render := func(_ int, src *rng.Source, x, y []float64) error {
+		rp := raws.Get().(*[]float64)
+		cache.renderInto(x, y, *rp, alpha, src)
+		raws.Put(rp)
+		return nil
 	}
 
 	s, err := dataset.NewStream(n, axis.N, sim.NumCompounds(), seed, render)

@@ -25,9 +25,9 @@ var corpusGenBuckets = obs.ExponentialBuckets(1e-3, 2, 18)
 //
 // Rendering goes through the render-engine templates built once per
 // component (see internal/spectrum/render): pure-shift variants are
-// interpolated master-grid lookups, broadened variants use the hoisted
-// analytic kernels, and ExactRender forces the legacy bit-identical
-// spectrum.RenderPeaks path. Templates and scratch live on the Augmenter,
+// interpolated master-grid lookups and broadened variants use the hoisted
+// analytic kernels; noise is drawn with the ziggurat sampler
+// (rng.Source.FastNormalAdd). Templates and scratch live on the Augmenter,
 // so an Augmenter must not be used from multiple goroutines concurrently —
 // Generate's internal worker pool is fine, concurrent Generate calls on one
 // Augmenter are not.
@@ -50,12 +50,6 @@ type Augmenter struct {
 	// cores). The corpus is bit-identical for any value because every
 	// sample draws from its own index-keyed child stream.
 	Workers int
-	// ExactRender forces the legacy analytic RenderPeaks path for every
-	// sample, bit-identical to the pre-engine generator (golden baselines).
-	ExactRender bool
-	// RenderOversample overrides the render engine's automatic master-grid
-	// oversampling factor (0 = automatic).
-	RenderOversample int
 	// Metrics, when non-nil, receives corpus-generation throughput from
 	// Generate/GenerateInto: specml_corpus_samples_total{source="nmrsim"}
 	// and a wall-clock specml_corpus_generate_seconds histogram. Recording
@@ -63,9 +57,8 @@ type Augmenter struct {
 	Metrics *obs.Registry
 
 	// Cached render templates (one per component) plus reusable generation
-	// scratch; rebuilt when the render options change.
+	// scratch.
 	templates []*render.Template
-	tmplOpts  render.Options
 	names     []string
 	seeds     []uint64
 	srcs      []*rng.Source
@@ -97,21 +90,18 @@ func (a *Augmenter) Validate() error {
 // before any parallel wave so the templates are constructed
 // deterministically and the wave itself only reads them.
 func (a *Augmenter) prepare() error {
-	opts := render.Options{Exact: a.ExactRender, Oversample: a.RenderOversample}
-	if a.templates != nil && len(a.templates) == len(a.Components) && a.tmplOpts == opts {
+	if a.templates != nil && len(a.templates) == len(a.Components) {
 		return nil
 	}
-	eng := render.NewEngine(opts)
 	ts := make([]*render.Template, len(a.Components))
 	for j, c := range a.Components {
-		t, err := eng.NewTemplate(a.Axis, c.Peaks)
+		t, err := render.NewTemplate(a.Axis, c.Peaks)
 		if err != nil {
 			return fmt.Errorf("nmrsim: building render template for %s: %w", c.Name, err)
 		}
 		ts[j] = t
 	}
 	a.templates = ts
-	a.tmplOpts = opts
 	a.names = componentNames(a.Components)
 	return nil
 }
@@ -174,19 +164,7 @@ func (a *Augmenter) renderConcInto(x, conc []float64, src *rng.Source) error {
 		}
 	}
 	if a.NoiseSigma > 0 {
-		if a.ExactRender {
-			// Legacy Box-Muller stream: corpora rendered with ExactRender
-			// replay historical bytes exactly.
-			for i := range x {
-				x[i] += src.Normal(0, a.NoiseSigma)
-			}
-		} else {
-			// The cached fast path draws noise with the ziggurat sampler —
-			// a different (still fully deterministic and seed-reproducible)
-			// stream. Labels and distortion draws happen before this point,
-			// so they remain bit-identical between the two modes.
-			src.FastNormalAdd(x, a.NoiseSigma)
-		}
+		src.FastNormalAdd(x, a.NoiseSigma)
 	}
 	return nil
 }

@@ -6,84 +6,64 @@ import (
 
 	"specml/internal/dataset"
 	"specml/internal/rng"
+	"specml/internal/spectrum"
 )
 
-// TestAugmenterCachedMatchesExact: the cached render engine must agree with
-// the legacy exact path to the engine's documented 1e-9 bound. Labels and
-// distortion jitters are drawn before any rendering or noise, so they are
-// bit-identical between the two modes even with noise enabled; the signal
-// comparison switches noise off because the fast path draws its noise from
-// the ziggurat sampler rather than the legacy Box-Muller stream.
+// TestAugmenterCachedMatchesExact: the cached render engine must agree
+// with an analytic replay to the engine's documented 1e-9 bound. The
+// replay redraws each sample from its Split seed in the augmenter's draw
+// order (labels, then shift and width jitter per nonzero component) and
+// renders it with ihm.ComponentModel.Render, i.e. spectrum.RenderPeaks over
+// the full axis. Labels and jitters are drawn before any noise, so the
+// labels of the noisy corpus must match the replay bit for bit; the signal
+// comparison switches noise off.
 func TestAugmenterCachedMatchesExact(t *testing.T) {
-	exactNoisy := defaultAugmenter()
-	exactNoisy.ExactRender = true
-	refNoisy, err := exactNoisy.Generate(20, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	noisy, err := defaultAugmenter().Generate(20, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range refNoisy.Y {
-		for j := range refNoisy.Y[i] {
-			if noisy.Y[i][j] != refNoisy.Y[i][j] {
-				t.Fatalf("label [%d][%d] differs between cached and exact paths", i, j)
-			}
-		}
-	}
-	exact := defaultAugmenter()
-	exact.ExactRender = true
-	exact.NoiseSigma = 0
-	ref, err := exact.Generate(20, 23)
+	const n, seed = 20, 23
+	noisy, err := defaultAugmenter().Generate(n, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cached := defaultAugmenter()
 	cached.NoiseSigma = 0
-	d, err := cached.Generate(20, 23)
+	d, err := cached.Generate(n, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range ref.X {
+	a := defaultAugmenter()
+	root := rng.New(seed)
+	for i := 0; i < n; i++ {
+		src := rng.New(root.Uint64())
+		conc := make([]float64, len(a.Components))
+		for j := range conc {
+			conc[j] = src.Uniform(a.ConcLo[j], a.ConcHi[j])
+			if conc[j] != noisy.Y[i][j] {
+				t.Fatalf("label [%d][%d] = %v, replay drew %v", i, j, noisy.Y[i][j], conc[j])
+			}
+		}
+		ref := spectrum.New(a.Axis)
+		for j, c := range a.Components {
+			if conc[j] == 0 {
+				continue
+			}
+			shift := src.Normal(0, a.ShiftJitter)
+			wf := 1 + src.Normal(0, a.WidthJitter)
+			if wf < 0.2 {
+				wf = 0.2
+			}
+			if err := c.Render(ref, conc[j]*a.IntensityScale, shift, wf); err != nil {
+				t.Fatal(err)
+			}
+		}
 		scale := 0.0
-		for _, v := range ref.X[i] {
+		for _, v := range ref.Intensities {
 			if a := math.Abs(v); a > scale {
 				scale = a
 			}
 		}
-		for j := range ref.X[i] {
-			if diff := math.Abs(d.X[i][j] - ref.X[i][j]); diff > 1e-9*scale {
-				t.Fatalf("X[%d][%d]: cached %v vs exact %v (%v relative)",
-					i, j, d.X[i][j], ref.X[i][j], diff/scale)
-			}
-		}
-	}
-}
-
-// TestAugmenterExactRenderBitIdentity: switching a live augmenter to
-// ExactRender must rebuild templates and reproduce the cached path's labels
-// while rendering through the legacy kernel — and switching back must again
-// match the original cached output bitwise.
-func TestAugmenterExactRenderBitIdentity(t *testing.T) {
-	a := defaultAugmenter()
-	d1, err := a.Generate(10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.ExactRender = true
-	if _, err := a.Generate(10, 5); err != nil {
-		t.Fatal(err)
-	}
-	a.ExactRender = false
-	d2, err := a.Generate(10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range d1.X {
-		for j := range d1.X[i] {
-			if d1.X[i][j] != d2.X[i][j] {
-				t.Fatalf("X[%d][%d] not reproducible across option round-trip", i, j)
+		for j, want := range ref.Intensities {
+			if diff := math.Abs(d.X[i][j] - want); diff > 1e-9*scale {
+				t.Fatalf("X[%d][%d]: cached %v vs replay %v (%v relative)",
+					i, j, d.X[i][j], want, diff/scale)
 			}
 		}
 	}

@@ -13,6 +13,12 @@ import (
 	"specml/internal/tensor/pool"
 )
 
+// prefetchDepth is the streamed-fit pipeline depth: how many mini-batch
+// buffers may be rendered ahead of training. Two is double buffering —
+// batch N+1 renders while batch N trains — and also caps the concurrent
+// render workers. The fitted model does not depend on it.
+const prefetchDepth = 2
+
 // fitSlot is one in-flight mini-batch of the streamed-fit prefetch
 // pipeline. The coordinator copies the epoch-permutation indices in, a
 // render worker fills the rows from the source, and the training loop
@@ -30,13 +36,13 @@ type fitSlot struct {
 
 // FitSource trains the model from a batch-granular data source through a
 // prefetch pipeline: a coordinator goroutine draws the epoch permutation
-// (same shuffle stream as Fit), render workers fill up to Prefetch
+// (same shuffle stream as Fit), render workers fill up to prefetchDepth
 // mini-batch buffers ahead (batch N+1 renders while batch N trains), and
 // the training loop consumes the buffers in issue order. All optimizer,
 // dropout and shuffle streams advance exactly as in Fit, and sources render
 // sample i independently of scheduling, so a streamed fit is bit-identical
-// to materializing the source and calling Fit — for any worker count,
-// prefetch depth or batch size.
+// to materializing the source and calling Fit — for any worker count or
+// batch size.
 //
 // Rows coming out of the source are validated (finite values) as they are
 // rendered, on the render workers, off the training hot path.
@@ -216,10 +222,7 @@ func (m *Model) fitSource(src dataset.Source, cfg FitConfig, validate bool) (*Hi
 
 	// --- prefetch pipeline -------------------------------------------------
 	batchesPerEpoch := (n + cfg.BatchSize - 1) / cfg.BatchSize
-	prefetch := cfg.Prefetch
-	if prefetch <= 0 {
-		prefetch = 2
-	}
+	prefetch := prefetchDepth
 	if prefetch > batchesPerEpoch*(cfg.Epochs-startEpoch) {
 		prefetch = batchesPerEpoch * (cfg.Epochs - startEpoch)
 	}
@@ -288,7 +291,7 @@ func (m *Model) fitSource(src dataset.Source, cfg FitConfig, validate bool) (*Hi
 		}
 	}()
 	// Render workers: fill slots from the source. Each slot is rendered by
-	// exactly one worker; raising Prefetch admits more concurrent renders.
+	// exactly one worker, so at most prefetchDepth render at once.
 	for w := 0; w < renderWorkers; w++ {
 		wg.Add(1)
 		go func() {

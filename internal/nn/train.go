@@ -51,11 +51,6 @@ type FitConfig struct {
 	// gauges. Recording is off the per-sample hot path (per batch at most),
 	// so instrumented fits are not slower.
 	Metrics *obs.Registry
-	// Prefetch is the streamed-fit pipeline depth: how many mini-batch
-	// buffers may be rendered ahead of training (default 2 — double
-	// buffering; 1 disables overlap). It also caps the number of concurrent
-	// render workers. The fitted model does not depend on it.
-	Prefetch int
 	// CheckpointPath, when non-empty, writes a specml/ckpt/v1 training
 	// checkpoint (weights + optimizer state + epoch/permutation cursor)
 	// there after every CheckpointEvery epochs, atomically (tmp + rename).
@@ -91,8 +86,7 @@ var fitEpochBuckets = obs.ExponentialBuckets(1e-3, 2, 18)
 
 // fitBatchBuckets spans 1µs..~4s of per-batch render-wait and compute time.
 // Render wait near zero means generation hides behind training compute;
-// wait comparable to compute means the fit is render-bound (raise Prefetch
-// or Workers).
+// wait comparable to compute means the fit is render-bound (raise Workers).
 var fitBatchBuckets = obs.ExponentialBuckets(1e-6, 2, 22)
 
 func newFitMetrics(reg *obs.Registry) *fitMetrics {

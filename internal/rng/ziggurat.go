@@ -11,10 +11,9 @@ import "math"
 // releases (nothing is drawn from the stdlib).
 //
 // FastNormal is a *different stream* than Normal for the same Source state:
-// hot paths that opt into it trade bit-compatibility with the legacy
-// Box-Muller draws for speed, while keeping determinism and per-seed
-// reproducibility. Paths that must replay historical corpora byte for byte
-// (e.g. ExactRender) stay on Normal.
+// a path that switches from Normal to FastNormal keeps determinism and
+// per-seed reproducibility but changes the bytes it draws, so a corpus
+// pinned by digest must stay on the sampler it was recorded with.
 
 const (
 	zigR = 3.442619855899      // start of the normal tail

@@ -29,7 +29,7 @@ func BenchmarkAnalyticAccum(b *testing.B) {
 
 func BenchmarkMasterInterp(b *testing.B) {
 	axis := spectrum.MustAxis(0, 10.0/1699.0, 1700)
-	tmpl, err := NewEngine(Options{}).NewTemplate(axis, nmrishPeaks())
+	tmpl, err := NewTemplate(axis, nmrishPeaks())
 	if err != nil {
 		b.Fatal(err)
 	}

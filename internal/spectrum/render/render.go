@@ -4,34 +4,32 @@
 // which every augmented variant — weighted, shifted, broadened — can be
 // rendered cheaply and repeatedly into caller-owned buffers.
 //
-// Three render paths back one Template, selected per call:
+// Two render paths back one Template, selected per call:
 //
-//   - Exact: delegate to spectrum.RenderPeaks on freshly distorted peak
-//     copies. Bit-identical to the legacy analytic path; golden files and
-//     regression baselines are rendered through this mode.
 //   - Master-grid lookup (widthFactor == 1): the undistorted component is
 //     rendered once onto an oversampled master grid extended by a shift
 //     margin; a shifted variant is then a pure translation, evaluated by
-//     polynomial interpolation into the grid. Exact for translation because
-//     Value(x; c+δ, w) = Value(x−δ; c, w) holds per peak and therefore for
-//     the whole profile; the only error is interpolation error, bounded by
-//     the oversampling factor (see Options.Oversample). O(points) per
-//     render, independent of the peak count.
-//   - Hoisted analytic (widthFactor != 1): the per-peak affine width
-//     identity Value(x; c, w·f) = (1/f)·Value(c + (x−c)/f; c, w) rescales
-//     each peak about its own center, so a broadened multi-peak profile is
-//     NOT a stretch of the whole template (that would also stretch peak
-//     separations). Broadened variants are instead evaluated analytically
-//     with all per-peak constants (γ, γ², σ, norms, reciprocal step terms)
-//     hoisted out of the inner loops: the Lorentzian part is one division
-//     per point over the full axis (keeping its slow tails area-accurate),
-//     the Gaussian part a windowed exp over ±4 FWHM (truncation below
-//     1e-19 of the peak height).
+//     4-point cubic interpolation into the grid. Exact for translation
+//     because Value(x; c+δ, w) = Value(x−δ; c, w) holds per peak and
+//     therefore for the whole profile; the only error is interpolation
+//     error, bounded by the oversampling factor, which is chosen from the
+//     narrowest peak width. O(points) per render, independent of the peak
+//     count.
+//   - Hoisted analytic (widthFactor != 1, or a shift beyond the margin):
+//     the per-peak affine width identity Value(x; c, w·f) =
+//     (1/f)·Value(c + (x−c)/f; c, w) rescales each peak about its own
+//     center, so a broadened multi-peak profile is NOT a stretch of the
+//     whole template (that would also stretch peak separations). Broadened
+//     variants are instead evaluated analytically with all per-peak
+//     constants (γ, γ², σ, norms, reciprocal step terms) hoisted out of the
+//     inner loops: the Lorentzian part is one division per point over the
+//     full axis (keeping its slow tails area-accurate), the Gaussian part a
+//     windowed exp over ±4 FWHM (truncation below 1e-19 of the peak
+//     height).
 //
-// Accuracy: with cubic interpolation (the default) and automatic
-// oversampling, cached rendering matches the exact analytic path to better
-// than 1e-9 of the profile maximum across random shift/width draws; the
-// property tests pin this bound.
+// Accuracy: both paths match spectrum.RenderPeaks on distorted peak copies
+// to better than 1e-9 of the profile maximum across random shift/width
+// draws; the property tests pin this bound.
 package render
 
 import (
@@ -41,102 +39,38 @@ import (
 	"specml/internal/spectrum"
 )
 
-// Interpolation orders for the master-grid lookup path.
-const (
-	// InterpLinear uses 2-point linear interpolation: cheapest, but the
-	// interpolation error decays only quadratically in the oversampling
-	// factor, so it cannot reach the 1e-9 regime at practical grid sizes.
-	InterpLinear = 2
-	// InterpCubic uses 4-point (cubic Lagrange) interpolation, whose error
-	// decays with the fourth power of the grid step. The default.
-	InterpCubic = 4
-)
-
 const (
 	// gaussCutWidths bounds the Gaussian evaluation window in FWHM units;
 	// exp(-4·ln2·4²) ≈ 5e-20 of the peak height remains beyond it.
 	gaussCutWidths = 4.0
-	// cubicOversampleFactor converts step/minWidth into the automatic
-	// oversampling for cubic interpolation: the 4-point Lagrange error is
-	// ≤ 2.16·(h/w)⁴ of the peak height, so h ≤ w·(step/minWidth)/360 keeps
-	// it near ~1e-10, inside the 1e-9 property bound with ~8× headroom.
+	// cubicOversampleFactor converts step/minWidth into the master-grid
+	// oversampling: the 4-point Lagrange error is ≤ 2.16·(h/w)⁴ of the
+	// peak height, so h ≤ w·(step/minWidth)/360 keeps it near ~1e-10,
+	// inside the 1e-9 property bound with ~8× headroom.
 	cubicOversampleFactor = 360.0
-	// linearOversampleFactor is the linear-interpolation analogue, chosen
-	// for a ~1e-5 bound (1e-9 is impractical at quadratic decay).
-	linearOversampleFactor = 2400.0
 	// maxOversample and maxMasterSamples bound master-grid memory.
 	maxOversample    = 512
 	maxMasterSamples = 1 << 22
 )
 
-// Options configures an Engine.
-type Options struct {
-	// Exact forces the legacy spectrum.RenderPeaks path for every render:
-	// bit-identical to pre-engine outputs, for golden files and regression
-	// comparisons.
-	Exact bool
-	// Oversample is the master-grid oversampling factor relative to the
-	// target axis step. 0 (the default) chooses automatically from the
-	// narrowest peak width and the interpolation order so the cached path
-	// stays inside the documented error bound.
-	Oversample int
-	// InterpOrder is InterpLinear or InterpCubic (default InterpCubic).
-	InterpOrder int
-	// MaxShift is the shift margin (axis units) the master grid is extended
-	// by on each side; shifts beyond it fall back to the analytic path
-	// (still correct, just slower). 0 defaults to 2% of the axis span plus
-	// a few peak widths.
-	MaxShift float64
-}
-
-// normalized fills defaulted fields.
-func (o Options) normalized() Options {
-	if o.InterpOrder != InterpLinear {
-		o.InterpOrder = InterpCubic
-	}
-	if o.Oversample < 0 {
-		o.Oversample = 0
-	}
-	if o.MaxShift < 0 {
-		o.MaxShift = 0
-	}
-	return o
-}
-
-// Engine builds Templates with one shared set of Options.
-type Engine struct {
-	opts Options
-}
-
-// NewEngine returns an engine with normalized options.
-func NewEngine(opts Options) *Engine {
-	return &Engine{opts: opts.normalized()}
-}
-
-// Options returns the engine's normalized options.
-func (e *Engine) Options() Options { return e.opts }
-
 // Template is one component prepared for repeated rendering onto a fixed
 // target axis. Templates are read-only after construction, so concurrent
 // RenderInto calls (into distinct destinations) are safe on every path.
 type Template struct {
-	opts  Options
 	axis  spectrum.Axis
 	peaks []spectrum.Peak
 
-	// master grid (shift-only path); nil in Exact mode or for degenerate
-	// axes.
-	master     []float64
-	mStart     float64
-	mInvStep   float64
-	dpos       float64 // master-index increment per target-axis sample
-	oversample int
+	// master grid (shift-only path); nil for axes too long to cache.
+	master   []float64
+	mStart   float64
+	mInvStep float64
+	dpos     float64 // master-index increment per target-axis sample
 }
 
 // NewTemplate validates the peaks and prepares the cached representation.
 // The master grid is built eagerly and deterministically, so callers can
 // prepare every template before handing Templates to a parallel wave.
-func (e *Engine) NewTemplate(axis spectrum.Axis, peaks []spectrum.Peak) (*Template, error) {
+func NewTemplate(axis spectrum.Axis, peaks []spectrum.Peak) (*Template, error) {
 	if axis.N < 1 || axis.Step <= 0 {
 		return nil, fmt.Errorf("render: invalid axis %+v", axis)
 	}
@@ -149,22 +83,15 @@ func (e *Engine) NewTemplate(axis spectrum.Axis, peaks []spectrum.Peak) (*Templa
 		}
 	}
 	t := &Template{
-		opts:  e.opts,
 		axis:  axis,
 		peaks: append([]spectrum.Peak(nil), peaks...),
 	}
-	if !e.opts.Exact {
-		t.buildMaster()
-	}
+	t.buildMaster()
 	return t, nil
 }
 
 // Axis returns the target axis the template renders onto.
 func (t *Template) Axis() spectrum.Axis { return t.axis }
-
-// Oversample returns the master-grid oversampling factor actually used
-// (0 when no master grid was built).
-func (t *Template) Oversample() int { return t.oversample }
 
 // minWidth returns the narrowest peak FWHM.
 func (t *Template) minWidth() float64 {
@@ -178,28 +105,20 @@ func (t *Template) minWidth() float64 {
 }
 
 // buildMaster renders the undistorted profile onto the oversampled,
-// margin-extended master grid used by the shift-only lookup path.
+// margin-extended master grid used by the shift-only lookup path. The
+// shift margin is 2% of the axis span plus four of the narrowest peak
+// widths; larger shifts take the analytic path.
 func (t *Template) buildMaster() {
 	axis := t.axis
 	minW := t.minWidth()
-	os := t.opts.Oversample
-	if os <= 0 {
-		factor := cubicOversampleFactor
-		if t.opts.InterpOrder == InterpLinear {
-			factor = linearOversampleFactor
-		}
-		os = int(math.Ceil(factor * axis.Step / minW))
-	}
+	os := int(math.Ceil(cubicOversampleFactor * axis.Step / minW))
 	if os < 2 {
 		os = 2
 	}
 	if os > maxOversample {
 		os = maxOversample
 	}
-	margin := t.opts.MaxShift
-	if margin <= 0 {
-		margin = 0.02*float64(axis.N)*axis.Step + 4*minW
-	}
+	margin := 0.02*float64(axis.N)*axis.Step + 4*minW
 	mStep := axis.Step / float64(os)
 	// guard cells on both sides keep 4-point stencils in range at the
 	// extremes of the shift margin
@@ -220,7 +139,6 @@ func (t *Template) buildMaster() {
 	t.mStart = mStart
 	t.mInvStep = 1 / mStep
 	t.dpos = axis.Step * t.mInvStep
-	t.oversample = os
 	analyticAccum(t.master, mStart, mStep, t.peaks, 1, 0, 1)
 }
 
@@ -234,9 +152,6 @@ func (t *Template) RenderInto(dst []float64, weight, shift, widthFactor float64)
 	}
 	if widthFactor <= 0 {
 		return fmt.Errorf("render: width factor must be positive, got %g", widthFactor)
-	}
-	if t.opts.Exact {
-		return t.renderExact(dst, weight, shift, widthFactor)
 	}
 	if widthFactor == 1 && t.masterUsable(shift) {
 		t.renderMaster(dst, weight, shift)
@@ -254,22 +169,6 @@ func (t *Template) Render(s *spectrum.Spectrum, weight, shift, widthFactor float
 	return t.RenderInto(s.Intensities, weight, shift, widthFactor)
 }
 
-// renderExact reproduces the legacy path bit for bit: distort peak copies
-// exactly the way ihm.ComponentModel.Render does (including its per-call
-// allocation, which keeps concurrent exact renders race-free), then
-// delegate to spectrum.RenderPeaks over the full axis.
-func (t *Template) renderExact(dst []float64, weight, shift, widthFactor float64) error {
-	ps := make([]spectrum.Peak, len(t.peaks))
-	for i, p := range t.peaks {
-		p.Center += shift
-		p.Width *= widthFactor
-		p.Area *= weight
-		ps[i] = p
-	}
-	s := spectrum.Spectrum{Axis: t.axis, Intensities: dst}
-	return spectrum.RenderPeaks(&s, ps, 0)
-}
-
 // masterUsable reports whether every lookup position of the given shift
 // stays inside the master grid with a full interpolation stencil.
 func (t *Template) masterUsable(shift float64) bool {
@@ -278,11 +177,7 @@ func (t *Template) masterUsable(shift float64) bool {
 	}
 	pos0 := (t.axis.Start - shift - t.mStart) * t.mInvStep
 	posEnd := pos0 + float64(t.axis.N-1)*t.dpos
-	lo, hi := 1.0, float64(len(t.master)-3)
-	if t.opts.InterpOrder == InterpLinear {
-		lo, hi = 0, float64(len(t.master)-2)
-	}
-	return pos0 >= lo && posEnd <= hi
+	return pos0 >= 1 && posEnd <= float64(len(t.master)-3)
 }
 
 // renderMaster evaluates the shifted profile by interpolation into the
@@ -290,15 +185,6 @@ func (t *Template) masterUsable(shift float64) bool {
 func (t *Template) renderMaster(dst []float64, weight, shift float64) {
 	m := t.master
 	pos := (t.axis.Start - shift - t.mStart) * t.mInvStep
-	if t.opts.InterpOrder == InterpLinear {
-		for i := range dst {
-			p := pos + float64(i)*t.dpos
-			j := int(p)
-			f := p - float64(j)
-			dst[i] += weight * (m[j] + f*(m[j+1]-m[j]))
-		}
-		return
-	}
 	for i := range dst {
 		p := pos + float64(i)*t.dpos
 		j := int(p)

@@ -51,20 +51,24 @@ func maxAbsDiff(a, b []float64) float64 {
 	return m
 }
 
-// renderReference renders the distorted profile through the Exact engine
-// path (spectrum.RenderPeaks over the full axis) — the analytic ground
-// truth every cached path is measured against.
+// renderReference renders the distorted profile through
+// spectrum.RenderPeaks over the full axis, on peak copies distorted in the
+// order ihm.ComponentModel.Render uses (shift center, scale width, scale
+// area) — the analytic ground truth every cached path is measured against.
 func renderReference(t *testing.T, axis spectrum.Axis, peaks []spectrum.Peak, weight, shift, wf float64) []float64 {
 	t.Helper()
-	tmpl, err := NewEngine(Options{Exact: true}).NewTemplate(axis, peaks)
-	if err != nil {
+	ps := make([]spectrum.Peak, len(peaks))
+	for i, p := range peaks {
+		p.Center += shift
+		p.Width *= wf
+		p.Area *= weight
+		ps[i] = p
+	}
+	s := spectrum.New(axis)
+	if err := spectrum.RenderPeaks(s, ps, 0); err != nil {
 		t.Fatal(err)
 	}
-	dst := make([]float64, axis.N)
-	if err := tmpl.RenderInto(dst, weight, shift, wf); err != nil {
-		t.Fatal(err)
-	}
-	return dst
+	return s.Intensities
 }
 
 // TestCachedMatchesExactProperty is the engine's headline accuracy bound:
@@ -78,11 +82,11 @@ func TestCachedMatchesExactProperty(t *testing.T) {
 	dst := make([]float64, axis.N)
 	for trial := 0; trial < 40; trial++ {
 		peaks := randomPeaks(src, 1+src.Intn(6))
-		tmpl, err := NewEngine(Options{}).NewTemplate(axis, peaks)
+		tmpl, err := NewTemplate(axis, peaks)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tmpl.Oversample() == 0 {
+		if tmpl.master == nil {
 			t.Fatal("cached template did not build a master grid")
 		}
 		weight := src.Uniform(0.1, 2)
@@ -111,76 +115,13 @@ func TestCachedMatchesExactProperty(t *testing.T) {
 	}
 }
 
-// TestLinearInterpBound pins the looser documented bound of the 2-point
-// interpolation mode.
-func TestLinearInterpBound(t *testing.T) {
-	axis := fig7Axis()
-	src := rng.New(42)
-	dst := make([]float64, axis.N)
-	for trial := 0; trial < 10; trial++ {
-		peaks := randomPeaks(src, 3)
-		tmpl, err := NewEngine(Options{InterpOrder: InterpLinear}).NewTemplate(axis, peaks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shift := src.Uniform(-0.05, 0.05)
-		want := renderReference(t, axis, peaks, 1, shift, 1)
-		for i := range dst {
-			dst[i] = 0
-		}
-		if err := tmpl.RenderInto(dst, 1, shift, 1); err != nil {
-			t.Fatal(err)
-		}
-		scale := maxAbs(want)
-		if diff := maxAbsDiff(dst, want); diff > 1e-4*scale {
-			t.Fatalf("trial %d: linear-interp render off by %g relative, want ≤ 1e-4",
-				trial, maxAbsDiff(dst, want)/scale)
-		}
-	}
-}
-
-// TestExactModeBitIdentical: the Exact engine path must reproduce
-// spectrum.RenderPeaks on hand-distorted peaks bit for bit — this is the
-// contract golden files rely on.
-func TestExactModeBitIdentical(t *testing.T) {
-	axis := fig7Axis()
-	src := rng.New(43)
-	peaks := randomPeaks(src, 4)
-	tmpl, err := NewEngine(Options{Exact: true}).NewTemplate(axis, peaks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	weight, shift, wf := 0.37, 0.021, 1.13
-	got := make([]float64, axis.N)
-	if err := tmpl.RenderInto(got, weight, shift, wf); err != nil {
-		t.Fatal(err)
-	}
-	// legacy distortion order: shift center, scale width, scale area
-	ps := make([]spectrum.Peak, len(peaks))
-	for i, p := range peaks {
-		p.Center += shift
-		p.Width *= wf
-		p.Area *= weight
-		ps[i] = p
-	}
-	want := spectrum.New(axis)
-	if err := spectrum.RenderPeaks(want, ps, 0); err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i] != want.Intensities[i] {
-			t.Fatalf("sample %d differs bitwise: %v vs %v", i, got[i], want.Intensities[i])
-		}
-	}
-}
-
 // TestShiftBeyondMarginFallsBack: a shift outside the master-grid margin
 // must route to the analytic path and stay accurate.
 func TestShiftBeyondMarginFallsBack(t *testing.T) {
 	axis := fig7Axis()
 	src := rng.New(44)
 	peaks := randomPeaks(src, 3)
-	tmpl, err := NewEngine(Options{}).NewTemplate(axis, peaks)
+	tmpl, err := NewTemplate(axis, peaks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,65 +141,37 @@ func TestShiftBeyondMarginFallsBack(t *testing.T) {
 }
 
 // TestRenderIntoAccumulates: RenderInto must add onto existing contents,
-// mirroring spectrum.RenderPeaks semantics.
+// mirroring spectrum.RenderPeaks semantics, on the master-grid path (width
+// factor 1) and the analytic path.
 func TestRenderIntoAccumulates(t *testing.T) {
 	axis := spectrum.MustAxis(0, 0.01, 200)
 	peaks := []spectrum.Peak{{Center: 1, Width: 0.1, Area: 1, Eta: 0.5}}
-	for _, opts := range []Options{{}, {Exact: true}} {
-		tmpl, err := NewEngine(opts).NewTemplate(axis, peaks)
-		if err != nil {
-			t.Fatal(err)
-		}
+	tmpl, err := NewTemplate(axis, peaks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, wf := range []float64{1, 1.1} {
 		once := make([]float64, axis.N)
-		if err := tmpl.RenderInto(once, 1, 0, 1); err != nil {
+		if err := tmpl.RenderInto(once, 1, 0, wf); err != nil {
 			t.Fatal(err)
 		}
 		twice := make([]float64, axis.N)
 		copy(twice, once)
-		if err := tmpl.RenderInto(twice, 1, 0, 1); err != nil {
+		if err := tmpl.RenderInto(twice, 1, 0, wf); err != nil {
 			t.Fatal(err)
 		}
 		for i := range twice {
 			if math.Abs(twice[i]-2*once[i]) > 1e-12 {
-				t.Fatalf("opts %+v: render does not accumulate at %d", opts, i)
+				t.Fatalf("wf %g: render does not accumulate at %d", wf, i)
 			}
 		}
-	}
-}
-
-// TestOversampleOverride: an explicit oversampling factor must be honored
-// (after clamping), and the MaxShift option must widen the usable range.
-func TestOversampleOverride(t *testing.T) {
-	axis := fig7Axis()
-	peaks := []spectrum.Peak{{Center: 6, Width: 0.1, Area: 1, Eta: 0.3}}
-	tmpl, err := NewEngine(Options{Oversample: 16}).NewTemplate(axis, peaks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tmpl.Oversample() != 16 {
-		t.Fatalf("oversample = %d, want 16", tmpl.Oversample())
-	}
-	wide, err := NewEngine(Options{MaxShift: 2.5}).NewTemplate(axis, peaks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !wide.masterUsable(2.0) {
-		t.Fatal("MaxShift 2.5 should admit a 2.0 shift")
-	}
-	got := make([]float64, axis.N)
-	if err := wide.RenderInto(got, 1, 2.0, 1); err != nil {
-		t.Fatal(err)
-	}
-	want := renderReference(t, axis, peaks, 1, 2.0, 1)
-	if diff := maxAbsDiff(got, want); diff > 1e-9*maxAbs(want) {
-		t.Fatalf("wide-margin render off by %g relative", diff/maxAbs(want))
 	}
 }
 
 // TestRenderSpectrumAxisCheck: Render must reject a mismatched axis.
 func TestRenderSpectrumAxisCheck(t *testing.T) {
 	axis := spectrum.MustAxis(0, 0.01, 100)
-	tmpl, err := NewEngine(Options{}).NewTemplate(axis,
+	tmpl, err := NewTemplate(axis,
 		[]spectrum.Peak{{Center: 0.5, Width: 0.05, Area: 1}})
 	if err != nil {
 		t.Fatal(err)
@@ -275,17 +188,16 @@ func TestRenderSpectrumAxisCheck(t *testing.T) {
 
 func TestTemplateValidation(t *testing.T) {
 	axis := spectrum.MustAxis(0, 0.01, 100)
-	eng := NewEngine(Options{})
-	if _, err := eng.NewTemplate(axis, nil); err == nil {
+	if _, err := NewTemplate(axis, nil); err == nil {
 		t.Fatal("empty peak list must error")
 	}
-	if _, err := eng.NewTemplate(spectrum.Axis{N: 0, Step: 0.01}, []spectrum.Peak{{Center: 1, Width: 0.1, Area: 1}}); err == nil {
+	if _, err := NewTemplate(spectrum.Axis{N: 0, Step: 0.01}, []spectrum.Peak{{Center: 1, Width: 0.1, Area: 1}}); err == nil {
 		t.Fatal("degenerate axis must error")
 	}
-	if _, err := eng.NewTemplate(axis, []spectrum.Peak{{Center: 1, Width: -1, Area: 1}}); err == nil {
+	if _, err := NewTemplate(axis, []spectrum.Peak{{Center: 1, Width: -1, Area: 1}}); err == nil {
 		t.Fatal("invalid peak must error")
 	}
-	tmpl, err := eng.NewTemplate(axis, []spectrum.Peak{{Center: 0.5, Width: 0.05, Area: 1}})
+	tmpl, err := NewTemplate(axis, []spectrum.Peak{{Center: 0.5, Width: 0.05, Area: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,33 +212,20 @@ func TestTemplateValidation(t *testing.T) {
 	}
 }
 
-// TestEngineOptionNormalization: defaults resolve to cubic interpolation
-// and automatic oversampling.
-func TestEngineOptionNormalization(t *testing.T) {
-	o := NewEngine(Options{}).Options()
-	if o.InterpOrder != InterpCubic {
-		t.Fatalf("default interp order %d, want cubic", o.InterpOrder)
-	}
-	o = NewEngine(Options{Oversample: -3, MaxShift: -1}).Options()
-	if o.Oversample != 0 || o.MaxShift != 0 {
-		t.Fatalf("negative knobs must normalize to automatic: %+v", o)
-	}
-}
-
 // TestConcurrentRenderSafe: templates are read-only after construction, so
 // concurrent RenderInto calls into distinct destinations must agree with a
-// sequential render (run with -race in CI).
+// sequential render on the master-grid path (width factor 1) and the
+// analytic path (run with -race in CI).
 func TestConcurrentRenderSafe(t *testing.T) {
 	axis := fig7Axis()
 	src := rng.New(45)
-	peaks := randomPeaks(src, 4)
-	for _, opts := range []Options{{}, {Exact: true}} {
-		tmpl, err := NewEngine(opts).NewTemplate(axis, peaks)
-		if err != nil {
-			t.Fatal(err)
-		}
+	tmpl, err := NewTemplate(axis, randomPeaks(src, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, wf := range []float64{1, 1.1} {
 		want := make([]float64, axis.N)
-		if err := tmpl.RenderInto(want, 1, 0.01, 1); err != nil {
+		if err := tmpl.RenderInto(want, 1, 0.01, wf); err != nil {
 			t.Fatal(err)
 		}
 		const workers = 8
@@ -335,7 +234,7 @@ func TestConcurrentRenderSafe(t *testing.T) {
 		for w := 0; w < workers; w++ {
 			got[w] = make([]float64, axis.N)
 			go func(dst []float64) {
-				done <- tmpl.RenderInto(dst, 1, 0.01, 1)
+				done <- tmpl.RenderInto(dst, 1, 0.01, wf)
 			}(got[w])
 		}
 		for w := 0; w < workers; w++ {
@@ -345,7 +244,7 @@ func TestConcurrentRenderSafe(t *testing.T) {
 		}
 		for w := range got {
 			if maxAbsDiff(got[w], want) != 0 {
-				t.Fatalf("opts %+v: concurrent render %d differs", opts, w)
+				t.Fatalf("wf %g: concurrent render %d differs", wf, w)
 			}
 		}
 	}

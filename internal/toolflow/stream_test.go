@@ -2,6 +2,7 @@ package toolflow
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -13,7 +14,9 @@ import (
 
 // TestTrainSourceMatchesTrain pins the runner-level streaming guarantee:
 // TrainSource on a source must train the bit-identical network Train does on
-// the materialized rows.
+// the materialized rows. The second input is the same spec stored as JSON
+// with the "prefetch" field that older specs carried: it must still decode
+// and train the same network.
 func TestTrainSourceMatchesTrain(t *testing.T) {
 	train := tinyData(120, 1)
 	val := tinyData(40, 2)
@@ -29,9 +32,20 @@ func TestTrainSourceMatchesTrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, prefetch := range []int{0, 3} {
-		spec.Prefetch = prefetch
-		got, err := r.TrainSource(spec, src, val)
+	raw, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw = append(raw[:len(raw)-1], `,"prefetch":3}`...)
+	var stored TopologySpec
+	if err := json.Unmarshal(raw, &stored); err != nil {
+		t.Fatalf("stored spec with prefetch: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		spec TopologySpec
+	}{{"spec", spec}, {"stored spec", stored}} {
+		got, err := r.TrainSource(tc.spec, src, val)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,13 +53,13 @@ func TestTrainSourceMatchesTrain(t *testing.T) {
 		for i := range wp {
 			for j := range wp[i].Data {
 				if math.Float64bits(wp[i].Data[j]) != math.Float64bits(gp[i].Data[j]) {
-					t.Fatalf("prefetch %d: param %d[%d] differs: %v vs %v",
-						prefetch, i, j, gp[i].Data[j], wp[i].Data[j])
+					t.Fatalf("%s: param %d[%d] differs: %v vs %v",
+						tc.name, i, j, gp[i].Data[j], wp[i].Data[j])
 				}
 			}
 		}
 		if got.ValMAE != want.ValMAE {
-			t.Fatalf("prefetch %d: val MAE %v vs %v", prefetch, got.ValMAE, want.ValMAE)
+			t.Fatalf("%s: val MAE %v vs %v", tc.name, got.ValMAE, want.ValMAE)
 		}
 	}
 }

@@ -37,10 +37,6 @@ type TopologySpec struct {
 	// Workers is the data-parallel training worker count (0 = all cores);
 	// the trained network is bit-identical for any value.
 	Workers int `json:"workers,omitempty"`
-	// Prefetch is the streamed-training prefetch depth for TrainSource
-	// (0 = default double buffering); the trained network is bit-identical
-	// for any value.
-	Prefetch int `json:"prefetch,omitempty"`
 	// Checkpoint, when non-empty, is a specml/ckpt/v1 file TrainSource
 	// writes after each epoch and resumes from when it already exists.
 	Checkpoint string `json:"checkpoint,omitempty"`
@@ -123,7 +119,6 @@ func (r *Runner) TrainSource(spec TopologySpec, train dataset.Source, val *datas
 		}
 	}
 	return r.train(spec, val, func(m *nn.Model, cfg nn.FitConfig) (*nn.History, error) {
-		cfg.Prefetch = spec.Prefetch
 		cfg.CheckpointPath = spec.Checkpoint
 		cfg.Resume = resume
 		return m.FitSource(train, cfg)
