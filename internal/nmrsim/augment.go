@@ -2,6 +2,7 @@ package nmrsim
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"specml/internal/dataset"
@@ -56,9 +57,12 @@ type Augmenter struct {
 	// happens once per generation call, never per sample.
 	Metrics *obs.Registry
 
-	// Cached render templates (one per component) plus reusable generation
-	// scratch.
+	// Cached render templates (one per component), the axis and the
+	// component names and peak values they were built from, plus reusable
+	// generation scratch.
 	templates []*render.Template
+	tmplAxis  spectrum.Axis
+	tmplPeaks [][]spectrum.Peak
 	names     []string
 	seeds     []uint64
 	srcs      []*rng.Source
@@ -86,24 +90,42 @@ func (a *Augmenter) Validate() error {
 	return nil
 }
 
-// prepare (re)builds the per-component render templates. It must run
-// before any parallel wave so the templates are constructed
-// deterministically and the wave itself only reads them.
+// prepare (re)builds the per-component render templates whenever the
+// axis or any component's name or peaks differ from those the cached
+// templates were built from. It must run before any parallel wave so the
+// templates are constructed deterministically and the wave itself only
+// reads them.
 func (a *Augmenter) prepare() error {
-	if a.templates != nil && len(a.templates) == len(a.Components) {
+	if a.templatesCurrent() {
 		return nil
 	}
 	ts := make([]*render.Template, len(a.Components))
+	peaks := make([][]spectrum.Peak, len(a.Components))
 	for j, c := range a.Components {
 		t, err := render.NewTemplate(a.Axis, c.Peaks)
 		if err != nil {
 			return fmt.Errorf("nmrsim: building render template for %s: %w", c.Name, err)
 		}
 		ts[j] = t
+		peaks[j] = slices.Clone(c.Peaks)
 	}
-	a.templates = ts
+	a.templates, a.tmplAxis, a.tmplPeaks = ts, a.Axis, peaks
 	a.names = componentNames(a.Components)
 	return nil
+}
+
+// templatesCurrent reports whether the cached templates were built from
+// the current axis and the current components' names and peak values.
+func (a *Augmenter) templatesCurrent() bool {
+	if a.templates == nil || len(a.templates) != len(a.Components) || a.tmplAxis != a.Axis {
+		return false
+	}
+	for j, c := range a.Components {
+		if c.Name != a.names[j] || !slices.Equal(c.Peaks, a.tmplPeaks[j]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Sample renders one synthetic spectrum with random concentrations,

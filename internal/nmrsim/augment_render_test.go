@@ -198,3 +198,51 @@ func TestTimeSeriesDeterministicAndUnaliased(t *testing.T) {
 		t.Fatal("labels alias shared storage")
 	}
 }
+
+// TestAugmenterRebuildsStaleTemplates: reconfiguring a live Augmenter after
+// a Generate — swapping two components, editing a peak in place, or
+// changing the axis — must render exactly what a fresh Augmenter with the
+// same fields renders, never the templates cached for the old fields.
+func TestAugmenterRebuildsStaleTemplates(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		modify func(a *Augmenter)
+	}{
+		{"swap components", func(a *Augmenter) {
+			a.Components[0], a.Components[2] = a.Components[2], a.Components[0]
+		}},
+		{"edit peak in place", func(a *Augmenter) { a.Components[1].Peaks[0].Center += 0.05 }},
+		{"shorter axis", func(a *Augmenter) { a.Axis.N -= 7 }},
+	} {
+		live := defaultAugmenter()
+		if _, err := live.Generate(5, 1); err != nil {
+			t.Fatal(err)
+		}
+		tc.modify(live)
+		got, err := live.Generate(12, 31)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := defaultAugmenter()
+		tc.modify(fresh)
+		want, err := fresh.Generate(12, 31)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want.Names {
+			if got.Names[i] != want.Names[i] {
+				t.Fatalf("%s: label name %d = %q, fresh augmenter has %q", tc.name, i, got.Names[i], want.Names[i])
+			}
+		}
+		for i := range want.X {
+			if len(got.X[i]) != len(want.X[i]) {
+				t.Fatalf("%s: row %d has %d points, want %d", tc.name, i, len(got.X[i]), len(want.X[i]))
+			}
+			for j := range want.X[i] {
+				if math.Float64bits(got.X[i][j]) != math.Float64bits(want.X[i][j]) {
+					t.Fatalf("%s: X[%d][%d] = %v, fresh augmenter renders %v", tc.name, i, j, got.X[i][j], want.X[i][j])
+				}
+			}
+		}
+	}
+}

@@ -194,21 +194,12 @@ func (c *Conv1D) windowGrad(win, g []float64) {
 		}
 		if k < 4 {
 			for _, fi := range nz[:k] {
-				gf, wf := g[fi], w[fi*fanIn:(fi+1)*fanIn]
-				for i, wv := range wf {
-					win[i] += gf * wv
-				}
+				tensor.AxpySkipZero(win, g[fi], w[fi*fanIn:(fi+1)*fanIn])
 			}
 			return
 		}
-		g0, g1, g2, g3 := g[nz[0]], g[nz[1]], g[nz[2]], g[nz[3]]
-		w0 := w[nz[0]*fanIn:][:fanIn]
-		w1 := w[nz[1]*fanIn:][:fanIn]
-		w2 := w[nz[2]*fanIn:][:fanIn]
-		w3 := w[nz[3]*fanIn:][:fanIn]
-		for i, v := range win {
-			win[i] = v + g0*w0[i] + g1*w1[i] + g2*w2[i] + g3*w3[i]
-		}
+		tensor.Axpy4(win, g[nz[0]], w[nz[0]*fanIn:][:fanIn], g[nz[1]], w[nz[1]*fanIn:][:fanIn],
+			g[nz[2]], w[nz[2]*fanIn:][:fanIn], g[nz[3]], w[nz[3]*fanIn:][:fanIn])
 	}
 }
 

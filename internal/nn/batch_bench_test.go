@@ -223,3 +223,24 @@ func BenchmarkLSTMFitEpoch(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkConvWindowGradTable1Conv3 times the overlapping-window input
+// gradient of Table-1 conv layer 3 at batch 32 (180 x 25 input, kernel 20,
+// stride 3, 25 filters, 54 positions): one windowGrad call per sample and
+// position, each adding 25 filter rows of 500 weights.
+func BenchmarkConvWindowGradTable1Conv3(b *testing.B) {
+	const n = 32
+	c := NewConv1D(25, 20, 3)
+	if _, err := c.Build(rng.New(3), []int{180, 25}); err != nil {
+		b.Fatal(err)
+	}
+	g := benchBlock(n, c.outLen*c.Filters)
+	c.bgin = make([]float64, n*c.inLen*c.inCh)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.inputGradSamples(g, 0, n)
+	}
+	flops := 2 * float64(n*c.outLen*c.Filters*c.Kernel*c.inCh)
+	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+}

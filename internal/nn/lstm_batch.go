@@ -184,14 +184,8 @@ func (l *LSTM) paramGradRows(n, r0, r1 int) {
 					continue
 				}
 				l.b.Grad[r] += d
-				gwxRow := l.wx.Grad[r*fts : (r+1)*fts]
-				for c, v := range xt {
-					gwxRow[c] += d * v
-				}
-				gwhRow := l.wh.Grad[r*u : (r+1)*u]
-				for c, v := range hPrev {
-					gwhRow[c] += d * v
-				}
+				tensor.AxpySkipZero(l.wx.Grad[r*fts:(r+1)*fts], d, xt)
+				tensor.AxpySkipZero(l.wh.Grad[r*u:(r+1)*u], d, hPrev)
 			}
 		}
 	}

@@ -47,7 +47,7 @@ func parallelFitData(n, in, out int, seed uint64) (x, y [][]float64) {
 func shardConvNet(t *testing.T) *Model {
 	t.Helper()
 	m := NewModel().
-		Add(NewReshape(1200, 1)).
+		Add(NewReshape(3200, 1)).
 		Add(NewConv1D(25, 16, 2)).
 		Add(NewActivation(SELU)).
 		Add(NewConv1D(15, 4, 4)).
@@ -55,7 +55,7 @@ func shardConvNet(t *testing.T) *Model {
 		Add(NewFlatten()).
 		Add(NewDense(3)).
 		Add(NewSoftmax())
-	if err := m.Build(rng.New(8), 1200); err != nil {
+	if err := m.Build(rng.New(8), 3200); err != nil {
 		t.Fatal(err)
 	}
 	return m
@@ -67,7 +67,7 @@ func shardConvNet(t *testing.T) *Model {
 func shardLSTMNet(t *testing.T) *Model {
 	t.Helper()
 	m := NewModel().Add(NewLSTM(16)).Add(NewDense(3))
-	if err := m.Build(rng.New(9), 8, 256); err != nil {
+	if err := m.Build(rng.New(9), 8, 1200); err != nil {
 		t.Fatal(err)
 	}
 	return m

@@ -14,15 +14,22 @@ import "specml/internal/parallel"
 
 // shardMinWork is the least work, in multiply-adds, one shard must
 // receive; smaller calls run serially. Waking an idle core for a fork/join
-// costs about 10 µs, so on a 2-core Xeon a conv forward split into two
-// shards of 2^15 multiply-adds ran 35% slower than serial, and one split
-// into two shards of 2^16 ran 12% faster.
-const shardMinWork = 1 << 16
+// costs about 10 µs. With the AVX2 GEMM and axpy kernels a multiply-add
+// costs about 0.1 ns, and each GemmNT shard packs its own B panels, so on
+// the 2-core Xeon a Table-1 conv layer (25 filters, fanIn 500) split into
+// two shards ran, against serial: 35% slower forward and 15% slower input
+// gradient at 2^16 multiply-adds per shard; 15% slower forward and 17%
+// faster input gradient at 2^17; 10-20% faster for both at 2^18. The
+// portable kernels (no AVX2, or SPECML_NOASM) take about 0.5 ns per
+// multiply-add and would already pay from 2^16; they run with the same
+// constant.
+const shardMinWork = 1 << 18
 
 // pointwiseWork is the work of one element of a pointwise kernel in
 // multiply-adds: an activation's interface-dispatched Value or Deriv takes
-// 3-10 ns against about 0.5 ns per GEMM multiply-add.
-const pointwiseWork = 8
+// 3-10 ns against about 0.1 ns per vectorized GEMM multiply-add, so an
+// activation shards from 8192 elements (25-80 µs of work) per shard.
+const pointwiseWork = 32
 
 // kernelShards holds a layer's kernel worker count. Layers embed it and
 // model.setKernelWorkers sets it.

@@ -35,6 +35,7 @@ package render
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"specml/internal/spectrum"
 )
@@ -54,22 +55,26 @@ const (
 )
 
 // Template is one component prepared for repeated rendering onto a fixed
-// target axis. Templates are read-only after construction, so concurrent
-// RenderInto calls (into distinct destinations) are safe on every path.
+// target axis. Apart from the master grid, built once under a sync.Once,
+// templates are read-only after construction, so concurrent RenderInto
+// calls (into distinct destinations) are safe on every path.
 type Template struct {
 	axis  spectrum.Axis
 	peaks []spectrum.Peak
 
-	// master grid (shift-only path); nil for axes too long to cache.
-	master   []float64
-	mStart   float64
-	mInvStep float64
-	dpos     float64 // master-index increment per target-axis sample
+	// master grid (shift-only path), built by the first render with
+	// widthFactor == 1: corpora with width jitter never read it. nil
+	// before that and for axes too long to cache.
+	masterOnce sync.Once
+	master     []float64
+	mStart     float64
+	mInvStep   float64
+	dpos       float64 // master-index increment per target-axis sample
 }
 
 // NewTemplate validates the peaks and prepares the cached representation.
-// The master grid is built eagerly and deterministically, so callers can
-// prepare every template before handing Templates to a parallel wave.
+// The master grid is deterministic, so which render builds it cannot
+// change any output.
 func NewTemplate(axis spectrum.Axis, peaks []spectrum.Peak) (*Template, error) {
 	if axis.N < 1 || axis.Step <= 0 {
 		return nil, fmt.Errorf("render: invalid axis %+v", axis)
@@ -86,7 +91,6 @@ func NewTemplate(axis spectrum.Axis, peaks []spectrum.Peak) (*Template, error) {
 		axis:  axis,
 		peaks: append([]spectrum.Peak(nil), peaks...),
 	}
-	t.buildMaster()
 	return t, nil
 }
 
@@ -170,8 +174,10 @@ func (t *Template) Render(s *spectrum.Spectrum, weight, shift, widthFactor float
 }
 
 // masterUsable reports whether every lookup position of the given shift
-// stays inside the master grid with a full interpolation stencil.
+// stays inside the master grid with a full interpolation stencil, building
+// the grid on first use.
 func (t *Template) masterUsable(shift float64) bool {
+	t.masterOnce.Do(t.buildMaster)
 	if t.master == nil {
 		return false
 	}

@@ -86,9 +86,6 @@ func TestCachedMatchesExactProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tmpl.master == nil {
-			t.Fatal("cached template did not build a master grid")
-		}
 		weight := src.Uniform(0.1, 2)
 		shift := src.Uniform(-0.05, 0.05)
 		// Half the trials take the pure-shift master-grid path, half the
@@ -99,6 +96,9 @@ func TestCachedMatchesExactProperty(t *testing.T) {
 		}
 		if wf == 1 && !tmpl.masterUsable(shift) {
 			t.Fatalf("trial %d: shift %g should be inside the default margin", trial, shift)
+		}
+		if wf == 1 && tmpl.master == nil {
+			t.Fatal("cached template did not build a master grid")
 		}
 		want := renderReference(t, axis, peaks, weight, shift, wf)
 		for i := range dst {
@@ -246,6 +246,46 @@ func TestConcurrentRenderSafe(t *testing.T) {
 			if maxAbsDiff(got[w], want) != 0 {
 				t.Fatalf("wf %g: concurrent render %d differs", wf, w)
 			}
+		}
+	}
+}
+
+// TestMasterGridBuiltOnFirstUnitWidthRender: the master grid is read only
+// by widthFactor == 1 renders, so a template that has rendered only
+// broadened variants holds none, and the first unit-width renders, racing
+// on one template (run with -race in CI), build it once and agree.
+func TestMasterGridBuiltOnFirstUnitWidthRender(t *testing.T) {
+	axis := fig7Axis()
+	tmpl, err := NewTemplate(axis, randomPeaks(rng.New(46), 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, wf := range []float64{1.1, 0.9} {
+		if err := tmpl.RenderInto(make([]float64, axis.N), 1, 0.01, wf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tmpl.master != nil {
+		t.Fatal("broadened renders built the master grid")
+	}
+	const workers = 8
+	got := make([][]float64, workers)
+	done := make(chan error, workers)
+	for w := range got {
+		got[w] = make([]float64, axis.N)
+		go func(dst []float64) { done <- tmpl.RenderInto(dst, 1, 0.01, 1) }(got[w])
+	}
+	for range got {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tmpl.master == nil {
+		t.Fatal("unit-width render did not build the master grid")
+	}
+	for w := range got {
+		if maxAbsDiff(got[w], got[0]) != 0 {
+			t.Fatalf("concurrent first render %d differs", w)
 		}
 	}
 }

@@ -76,3 +76,41 @@ func BenchmarkIm2Col(b *testing.B) {
 		Im2Col(dst, x, inLen, inCh, kernel, stride, outLen)
 	}
 }
+
+// The Table-1 MS CNN at its training shapes (199-point spectra, batch 32):
+// conv layer 3 (25 input channels, kernel 20, stride 3, 25 filters) lowers
+// to 1728 im2col rows of fanIn 500. The Table-2 LSTM input projection maps
+// 32 windows x 5 steps of 1700 points onto 4 x 32 gate rows.
+
+func benchGemmNT(b *testing.B, m, n, k int) {
+	am, bm, cm := make([]float64, m*k), make([]float64, n*k), make([]float64, m*n)
+	src := rng.New(103)
+	fillRand(src, am)
+	fillRand(src, bm)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		GemmNT(cm, am, bm, m, n, k)
+	}
+	b.ReportMetric(2*float64(m*n*k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+}
+
+func BenchmarkGemmNTTable1Conv3(b *testing.B) { benchGemmNT(b, 1728, 25, 500) }
+
+func BenchmarkGemmNTLSTMInput(b *testing.B) { benchGemmNT(b, 160, 128, 1700) }
+
+func BenchmarkGemmTNTable1Conv3(b *testing.B) {
+	// dW (25 x 500) += dYᵀ (25 x 1728) · col (1728 x 500), ReLU-style
+	// sparse output gradients included.
+	m, n, k := 25, 500, 1728
+	am, bm, cm := make([]float64, k*m), make([]float64, k*n), make([]float64, m*n)
+	src := rng.New(104)
+	fillRand(src, am)
+	fillRand(src, bm)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		GemmTN(cm, am, bm, m, n, k)
+	}
+	b.ReportMetric(2*float64(m*n*k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+}
