@@ -144,3 +144,125 @@ func TestSoftmaxAliasing(t *testing.T) {
 		t.Fatalf("in-place softmax broken: %v", x)
 	}
 }
+
+// allActivations lists every activation ActivationByName resolves.
+var allActivations = []Activation{Linear, ReLU, SELU, Sigmoid, Tanh}
+
+// activationEdgeInputs are the arguments where a slice kernel is most
+// likely to part from Value/Deriv: signed zeros, infinities, NaN,
+// subnormals, the SELU kink and exp's underflow below about -745.
+var activationEdgeInputs = []float64{
+	0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+	0x1p-1023, -0x1p-1023, 0x1p-1022, -0x1p-1022,
+	1e-300, -1e-300, 1e-8, -1e-8, 1, -1, 20, -20, 710, -710,
+	-744.5, -745, -745.2, -746, -1000, -math.MaxFloat64, math.MaxFloat64,
+}
+
+// sameBits reports bitwise equality, counting any two NaNs as equal.
+func sameBits(a, b float64) bool {
+	if math.IsNaN(a) && math.IsNaN(b) {
+		return true
+	}
+	return math.Float64bits(a) == math.Float64bits(b)
+}
+
+// checkActivationKernels checks both slice kernels of a against Value and
+// Deriv on every element of x.
+func checkActivationKernels(t *testing.T, a Activation, x []float64) {
+	t.Helper()
+	y := make([]float64, len(x))
+	a.values(y, x)
+	yd := make([]float64, len(x))
+	d := make([]float64, len(x))
+	a.valuesDerivs(yd, d, x)
+	for i, v := range x {
+		want := a.Value(v)
+		wantD := a.Deriv(v, want)
+		if !sameBits(y[i], want) {
+			t.Errorf("%s values(%v) = %v (%#x), Value = %v (%#x)", a.Name(), v, y[i], math.Float64bits(y[i]), want, math.Float64bits(want))
+		}
+		if !sameBits(yd[i], want) {
+			t.Errorf("%s valuesDerivs(%v) value = %v, Value = %v", a.Name(), v, yd[i], want)
+		}
+		if !sameBits(d[i], wantD) {
+			t.Errorf("%s valuesDerivs(%v) derivative = %v (%#x), Deriv = %v (%#x)", a.Name(), v, d[i], math.Float64bits(d[i]), wantD, math.Float64bits(wantD))
+		}
+	}
+}
+
+// TestActivationKernelsBitwise pins the slice kernels the batched layers
+// run to the per-element Value and Deriv the per-sample path runs.
+func TestActivationKernelsBitwise(t *testing.T) {
+	x := append([]float64(nil), activationEdgeInputs...)
+	src := rng.New(12)
+	for i := 0; i < 4000; i++ {
+		x = append(x, src.Normal(0, 4))
+	}
+	for _, a := range allActivations {
+		checkActivationKernels(t, a, x)
+	}
+}
+
+func FuzzActivationKernels(f *testing.F) {
+	for _, v := range activationEdgeInputs {
+		f.Add(v)
+	}
+	f.Fuzz(func(t *testing.T, v float64) {
+		for _, a := range allActivations {
+			checkActivationKernels(t, a, []float64{v})
+		}
+	})
+}
+
+// TestActivationBackwardNeedsTrainingForward pins the derivative hand-off
+// between an activation's batched passes: BackwardBatch reads the
+// derivatives a training-mode ForwardBatch of the same n stored, and panics
+// when there are none.
+func TestActivationBackwardNeedsTrainingForward(t *testing.T) {
+	l := NewActivation(SELU)
+	if _, err := l.Build(nil, []int{6}); err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, 3*6)
+	g := make([]float64, 3*6)
+	fillBatch(rng.New(13), x)
+	fillBatch(rng.New(14), g)
+	expectPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: BackwardBatch did not panic", name)
+			}
+		}()
+		fn()
+	}
+
+	l.SetInference(true)
+	l.ForwardBatch(x, 3)
+	l.SetInference(false)
+	expectPanic("after an inference-mode forward", func() { l.BackwardBatch(g, 3) })
+
+	l.ForwardBatch(x, 3)
+	expectPanic("after a forward of another n", func() { l.BackwardBatch(g[:2*6], 2) })
+
+	l.ForwardBatch(x, 3)
+	l.BackwardBatch(g, 3)
+	expectPanic("a second time after one forward", func() { l.BackwardBatch(g, 3) })
+
+	d := NewDropout(0.5)
+	if _, err := d.Build(rng.New(15), []int{6}); err != nil {
+		t.Fatal(err)
+	}
+	d.ForwardBatch(x, 3) // not training: the identity, no masks drawn
+	d.SetTraining(true)
+	expectPanic("dropout after a forward outside training", func() { d.BackwardBatch(g, 3) })
+	srcs := make([]*rng.Source, 3)
+	for i := range srcs {
+		srcs[i] = rng.New(uint64(16 + i))
+	}
+	d.setBatchSources(srcs)
+	d.ForwardBatch(x, 3)
+	expectPanic("dropout after a forward of another n", func() { d.BackwardBatch(g[:2*6], 2) })
+	d.BackwardBatch(g, 3)
+}

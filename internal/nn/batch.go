@@ -38,6 +38,16 @@ func (d *Dense) ForwardBatch(x []float64, n int) []float64 {
 
 // BackwardBatch implements Layer.
 func (d *Dense) BackwardBatch(gradOut []float64, n int) []float64 {
+	d.backwardParams(gradOut, n)
+	d.bgin = pool.Grow(d.bgin, n*d.in)
+	zero(d.bgin)
+	// dX = dY·W: per row, ascending output index with MatTVec's zero-skip.
+	tensor.Gemm(d.bgin, gradOut, d.w.Data, n, d.in, d.Out)
+	return d.bgin
+}
+
+// backwardParams implements paramGradLayer.
+func (d *Dense) backwardParams(gradOut []float64, n int) {
 	// dW += dYᵀ·X with the batch as the contraction axis: every weight
 	// element receives its per-sample contributions in ascending sample
 	// order with OuterAccum's zero-skip, matching n sequential Backwards.
@@ -48,11 +58,6 @@ func (d *Dense) BackwardBatch(gradOut []float64, n int) []float64 {
 			d.b.Grad[i] += g
 		}
 	}
-	d.bgin = pool.Grow(d.bgin, n*d.in)
-	zero(d.bgin)
-	// dX = dY·W: per row, ascending output index with MatTVec's zero-skip.
-	tensor.Gemm(d.bgin, gradOut, d.w.Data, n, d.in, d.Out)
-	return d.bgin
 }
 
 // ---------------------------------------------------------------------------
@@ -98,24 +103,30 @@ func (c *Conv1D) forwardSamples(x []float64, lo, hi int) {
 // Col2Im when the windows don't overlap), sharded by sample. Both preserve
 // the per-sample addition order.
 func (c *Conv1D) BackwardBatch(gradOut []float64, n int) []float64 {
+	c.backwardParams(gradOut, n)
 	fanIn := c.Kernel * c.inCh
 	rows := n * c.outLen
-	work := rows * c.Filters * fanIn
-	if w := c.shards(c.Filters, work); w > 1 {
-		runShards(w, c.Filters, func(lo, hi int) { c.paramGradFilters(gradOut, rows, lo, hi) })
-	} else {
-		c.paramGradFilters(gradOut, rows, 0, c.Filters)
-	}
 	c.bgin = pool.Grow(c.bgin, n*c.inLen*c.inCh)
 	if c.Stride >= c.Kernel {
 		c.bdcol = pool.Grow(c.bdcol, rows*fanIn)
 	}
-	if w := c.shards(n, work); w > 1 {
+	if w := c.shards(n, rows*c.Filters*fanIn); w > 1 {
 		runShards(w, n, func(lo, hi int) { c.inputGradSamples(gradOut, lo, hi) })
 	} else {
 		c.inputGradSamples(gradOut, 0, n)
 	}
 	return c.bgin
+}
+
+// backwardParams implements paramGradLayer: the weight and bias gradients,
+// sharded by filter.
+func (c *Conv1D) backwardParams(gradOut []float64, n int) {
+	rows := n * c.outLen
+	if w := c.shards(c.Filters, rows*c.Filters*c.Kernel*c.inCh); w > 1 {
+		runShards(w, c.Filters, func(lo, hi int) { c.paramGradFilters(gradOut, rows, lo, hi) })
+	} else {
+		c.paramGradFilters(gradOut, rows, 0, c.Filters)
+	}
 }
 
 // paramGradFilters accumulates the weight and bias gradients of filters
@@ -240,18 +251,34 @@ func (c *LocallyConnected1D) ForwardBatch(x []float64, n int) []float64 {
 // the cached input block, samples outermost so every gradient element
 // accumulates in ascending sample order like sequential Backward calls.
 func (c *LocallyConnected1D) BackwardBatch(gradOut []float64, n int) []float64 {
+	c.bgin = pool.Grow(c.bgin, n*c.inLen*c.inCh)
+	zero(c.bgin)
+	c.backward(gradOut, n, c.bgin)
+	return c.bgin
+}
+
+// backwardParams implements paramGradLayer.
+func (c *LocallyConnected1D) backwardParams(gradOut []float64, n int) {
+	c.backward(gradOut, n, nil)
+}
+
+// backward accumulates the parameter gradients and, unless gin is nil,
+// adds the input gradient into gin. A window element's weight-gradient and
+// input-gradient sums are independent, so dropping the second leaves the
+// first bit-identical.
+func (c *LocallyConnected1D) backward(gradOut []float64, n int, gin []float64) {
 	fanIn := c.Kernel * c.inCh
 	inSize := c.inLen * c.inCh
-	c.bgin = pool.Grow(c.bgin, n*inSize)
-	zero(c.bgin)
 	for s := 0; s < n; s++ {
 		xs := c.bx[s*inSize : (s+1)*inSize]
-		gin := c.bgin[s*inSize : (s+1)*inSize]
 		gs := gradOut[s*c.outLen*c.Filters : (s+1)*c.outLen*c.Filters]
 		for p := 0; p < c.outLen; p++ {
 			base := p * c.Stride * c.inCh
 			win := xs[base : base+fanIn]
-			ginWin := gin[base : base+fanIn]
+			var ginWin []float64
+			if gin != nil {
+				ginWin = gin[s*inSize+base : s*inSize+base+fanIn]
+			}
 			g := gs[p*c.Filters : (p+1)*c.Filters]
 			wp := c.w.Data[p*c.Filters*fanIn : (p+1)*c.Filters*fanIn]
 			gwp := c.w.Grad[p*c.Filters*fanIn : (p+1)*c.Filters*fanIn]
@@ -262,8 +289,14 @@ func (c *LocallyConnected1D) BackwardBatch(gradOut []float64, n int) []float64 {
 					continue
 				}
 				gbp[f] += gf
-				wf := wp[f*fanIn : (f+1)*fanIn]
 				gwf := gwp[f*fanIn : (f+1)*fanIn]
+				if ginWin == nil {
+					for i, v := range win {
+						gwf[i] += gf * v
+					}
+					continue
+				}
+				wf := wp[f*fanIn : (f+1)*fanIn]
 				for i, v := range win {
 					gwf[i] += gf * v
 					ginWin[i] += gf * wf[i]
@@ -271,47 +304,71 @@ func (c *LocallyConnected1D) BackwardBatch(gradOut []float64, n int) []float64 {
 			}
 		}
 	}
-	return c.bgin
 }
 
 // ---------------------------------------------------------------------------
 // ActivationLayer
 
-// ForwardBatch implements Layer: one pointwise pass over the block,
-// sharded by sample.
+// ForwardBatch implements Layer: one pass of the activation's slice
+// kernel over the block, sharded by sample. In training mode the same pass
+// writes each element's derivative into bgin for BackwardBatch; inference
+// skips it, like the input snapshots.
 func (l *ActivationLayer) ForwardBatch(x []float64, n int) []float64 {
-	l.bx = x
-	l.by = pool.Grow(l.by, n*len(l.y))
-	if w := l.shards(n, len(x)*pointwiseWork); w > 1 {
-		runShards(w, n, func(lo, hi int) { l.forwardRange(lo*len(l.y), hi*len(l.y)) })
+	size := n * len(l.y)
+	l.by = pool.Grow(l.by, size)
+	l.startForward(n)
+	if w := l.shards(n, size*activationForwardWork); w > 1 {
+		runShards(w, n, func(lo, hi int) { l.activate(x, lo*len(l.y), hi*len(l.y)) })
 	} else {
-		l.forwardRange(0, len(x))
+		l.activate(x, 0, size)
 	}
 	return l.by
 }
 
-func (l *ActivationLayer) forwardRange(lo, hi int) {
-	y := l.by[lo:hi]
-	for i, v := range l.bx[lo:hi] {
-		y[i] = l.Act.Value(v)
+// startForward readies bgin for the derivatives of a training-mode forward
+// pass over n rows, or records that an inference pass leaves none.
+func (l *ActivationLayer) startForward(n int) {
+	if l.infer {
+		l.dn = 0
+		return
 	}
+	l.bgin = pool.Grow(l.bgin, n*len(l.y))
+	l.dn = n
 }
 
-// BackwardBatch implements Layer, sharded by sample.
-func (l *ActivationLayer) BackwardBatch(gradOut []float64, n int) []float64 {
-	l.bgin = pool.Grow(l.bgin, n*len(l.gin))
-	if w := l.shards(n, len(gradOut)*pointwiseWork); w > 1 {
-		runShards(w, n, func(lo, hi int) { l.backwardRange(gradOut, lo*len(l.gin), hi*len(l.gin)) })
+// activate runs the slice kernel over elements [lo, hi) of the block x.
+func (l *ActivationLayer) activate(x []float64, lo, hi int) {
+	if l.infer {
+		l.Act.values(l.by[lo:hi], x[lo:hi])
 	} else {
-		l.backwardRange(gradOut, 0, len(gradOut))
+		l.Act.valuesDerivs(l.by[lo:hi], l.bgin[lo:hi], x[lo:hi])
 	}
-	return l.bgin
 }
 
-func (l *ActivationLayer) backwardRange(gradOut []float64, lo, hi int) {
-	gin, x, y := l.bgin[lo:hi], l.bx[lo:hi], l.by[lo:hi]
-	for i, g := range gradOut[lo:hi] {
-		gin[i] = g * l.Act.Deriv(x[i], y[i])
+// BackwardBatch implements Layer, sharded by sample: gin = g * Deriv(x, y)
+// is one multiply by the derivative the forward pass stored, in place. It
+// consumes those derivatives, so it must follow a training-mode
+// ForwardBatch with the same n.
+func (l *ActivationLayer) BackwardBatch(gradOut []float64, n int) []float64 {
+	if n != l.dn {
+		panic(fmt.Sprintf("nn: activation BackwardBatch(n=%d) without a training-mode ForwardBatch of that n (holds %d)", n, l.dn))
+	}
+	l.dn = 0
+	row := len(l.gin)
+	size := n * row
+	if w := l.shards(n, size*activationBackwardWork); w > 1 {
+		runShards(w, n, func(lo, hi int) { scaleBy(l.bgin[lo*row:hi*row], gradOut[lo*row:hi*row]) })
+	} else {
+		scaleBy(l.bgin[:size], gradOut[:size])
+	}
+	return l.bgin[:size]
+}
+
+// scaleBy sets d[i] = g[i] * d[i].
+func scaleBy(d, g []float64) {
+	d = d[:len(g)]
+	for i, gv := range g {
+		d[i] = gv * d[i]
 	}
 }
 
@@ -367,6 +424,7 @@ func (l *Dropout) setBatchSources(srcs []*rng.Source) { l.batchSrcs = srcs }
 // as Forward does after a per-sample Reseed.
 func (l *Dropout) ForwardBatch(x []float64, n int) []float64 {
 	if !l.training || l.Rate == 0 {
+		l.maskN = 0
 		return x
 	}
 	nf := len(l.y)
@@ -391,13 +449,18 @@ func (l *Dropout) ForwardBatch(x []float64, n int) []float64 {
 			orow[i] = v * mrow[i]
 		}
 	}
+	l.maskN = n
 	return l.by
 }
 
-// BackwardBatch implements Layer.
+// BackwardBatch implements Layer. In training it reads the masks of the
+// last ForwardBatch, which must have drawn them for the same n.
 func (l *Dropout) BackwardBatch(gradOut []float64, n int) []float64 {
 	if !l.training || l.Rate == 0 {
 		return gradOut
+	}
+	if n != l.maskN {
+		panic(fmt.Sprintf("nn: dropout BackwardBatch(n=%d) without a training-mode ForwardBatch of that n (holds %d)", n, l.maskN))
 	}
 	nf := len(l.y)
 	l.bgin = pool.Grow(l.bgin, n*nf)
@@ -523,15 +586,15 @@ func (l *AvgPool1D) BackwardBatch(gradOut []float64, n int) []float64 {
 var batchScratch pool.Pool
 
 // forwardBatch runs n row-major samples through the stack's batched
-// kernels. A Dense layer feeding a ReLU/SELU activation runs both in one
-// pass. The returned [n x outLen] block is owned by the model's layers and
+// kernels. A Dense layer feeding an activation runs both in one pass. The
+// returned [n x outLen] block is owned by the model's layers and
 // overwritten by the next call.
 func (m *Model) forwardBatch(x []float64, n int) []float64 {
 	for li := 0; li < len(m.layers); li++ {
 		l := m.layers[li]
 		if li+1 < len(m.layers) {
 			if d, ok := l.(*Dense); ok {
-				if a, ok := m.layers[li+1].(*ActivationLayer); ok && fusableActivation(a.Act) {
+				if a, ok := m.layers[li+1].(*ActivationLayer); ok {
 					x = d.forwardBatchFused(x, n, a)
 					li++ // the activation layer ran inside the fused step
 					continue
@@ -543,50 +606,50 @@ func (m *Model) forwardBatch(x []float64, n int) []float64 {
 	return x
 }
 
-// fusableActivation gates the fused Dense+activation step to pointwise
-// functions whose fused evaluation is trivially the per-layer one (the
-// ReLU/SELU families the paper's dense heads use).
-func fusableActivation(a Activation) bool {
-	switch a.Name() {
-	case "relu", "selu":
-		return true
-	}
-	return false
-}
-
 // forwardBatchFused is ForwardBatch for a Dense layer immediately followed
-// by a pointwise activation: the bias pass that finishes the GEMM output
-// also applies the activation, skipping one full traversal of the block.
-// Both layers' caches end up exactly as the unfused pair would leave them —
-// d.by holds the post-bias pre-activations and a.bx aliases it — so
-// BackwardBatch needs no fusion awareness and gradients are bit-identical.
+// by an activation: each output row gets its bias and then the
+// activation's slice kernel while it is still in cache, skipping one full
+// traversal of the block. Both layers' caches end up exactly as the
+// unfused pair would leave them, so BackwardBatch needs no fusion
+// awareness and gradients are bit-identical.
 func (d *Dense) forwardBatchFused(x []float64, n int, a *ActivationLayer) []float64 {
 	d.bx = x
 	d.by = pool.Grow(d.by, n*d.Out)
 	zero(d.by)
 	tensor.GemmNT(d.by, x, d.w.Data, n, d.Out, d.in)
-	a.bx = d.by
 	a.by = pool.Grow(a.by, n*d.Out)
+	a.startForward(n)
 	for s := 0; s < n; s++ {
 		row := d.by[s*d.Out : (s+1)*d.Out]
-		orow := a.by[s*d.Out : (s+1)*d.Out]
 		for i := range row {
 			row[i] += d.b.Data[i]
-			orow[i] = a.Act.Value(row[i])
 		}
+		a.activate(d.by, s*d.Out, (s+1)*d.Out)
 	}
 	return a.by
 }
 
-// backwardBatch propagates a [n x outLen] gradient block through the
-// stack, accumulating parameter gradients exactly like n sequential
-// Backward calls.
-func (m *Model) backwardBatch(gradOut []float64, n int) []float64 {
+// paramGradLayer is the parameter-gradient half of BackwardBatch. Every
+// layer with parameters implements it (Model.Build checks), so the lowest
+// one of a model accumulates its gradients without computing the input
+// gradient that nothing reads.
+type paramGradLayer interface {
+	backwardParams(gradOut []float64, n int)
+}
+
+// backwardBatch propagates a [n x outLen] gradient block down the stack,
+// accumulating parameter gradients exactly like n sequential Backward
+// calls. It stops at the lowest layer with parameters, which computes only
+// its parameter gradients: the input gradient below it has no reader.
+func (m *Model) backwardBatch(gradOut []float64, n int) {
+	if m.firstParam < 0 {
+		return
+	}
 	g := gradOut
-	for i := len(m.layers) - 1; i >= 0; i-- {
+	for i := len(m.layers) - 1; i > m.firstParam; i-- {
 		g = m.layers[i].BackwardBatch(g, n)
 	}
-	return g
+	m.layers[m.firstParam].(paramGradLayer).backwardParams(g, n)
 }
 
 // reseedDropoutBatch gives every dropout layer one mask stream per sample,

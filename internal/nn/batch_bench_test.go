@@ -244,3 +244,76 @@ func BenchmarkConvWindowGradTable1Conv3(b *testing.B) {
 	flops := 2 * float64(n*c.outLen*c.Filters*c.Kernel*c.inCh)
 	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
+
+// BenchmarkActivationBatch times a SELU layer over a 32 x 4500 block, the
+// activation after Table-1 conv layer 1 (180 positions x 25 filters): the
+// forward pass in training mode (values and derivatives) and in inference
+// mode (values only), and the backward pass.
+func BenchmarkActivationBatch(b *testing.B) {
+	const n, width = 32, 4500
+	l := NewActivation(SELU)
+	if _, err := l.Build(nil, []int{width}); err != nil {
+		b.Fatal(err)
+	}
+	x := benchBlock(n, width)
+	g := benchBlock(n, width)
+	l.ForwardBatch(x, n) // size the caches outside the timed loops
+	for _, mode := range []struct {
+		name  string
+		infer bool
+	}{{"forward-train", false}, {"forward-infer", true}} {
+		b.Run(mode.name, func(b *testing.B) {
+			l.SetInference(mode.infer)
+			defer l.SetInference(false)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				l.ForwardBatch(x, n)
+			}
+		})
+	}
+	b.Run("backward", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			l.ForwardBatch(x, n)
+			b.StartTimer()
+			l.BackwardBatch(g, n)
+		}
+	})
+}
+
+// BenchmarkLSTMTrainBackward times the backward pass of a train-lstm step
+// (batch 32, 5 x 1700 windows, LSTM(32) into a 4-output head) as training
+// runs it, with the LSTM computing only its parameter gradients, and with
+// the input gradient every layer's BackwardBatch computes.
+func BenchmarkLSTMTrainBackward(b *testing.B) {
+	m := benchLSTMModel(b)
+	xb := benchBlock(32, m.InputLen())
+	gb := benchBlock(32, m.OutputLen())
+	for _, bw := range []struct {
+		name string
+		run  func()
+	}{
+		{"params-only", func() { m.backwardBatch(gb, 32) }},
+		{"with-input-gradient", func() {
+			g := gb
+			for i := len(m.layers) - 1; i >= 0; i-- {
+				g = m.layers[i].BackwardBatch(g, 32)
+			}
+		}},
+	} {
+		b.Run(bw.name, func(b *testing.B) {
+			m.forwardBatch(xb, 32)
+			bw.run() // size the caches outside the timed loop
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				m.ZeroGrad()
+				m.forwardBatch(xb, 32)
+				b.StartTimer()
+				bw.run()
+			}
+		})
+	}
+}

@@ -129,6 +129,18 @@ func TestBatchLayerEquivalence(t *testing.T) {
 	}
 }
 
+// backwardAll runs every layer's BackwardBatch, top to bottom, and returns
+// the whole stack's input gradient. Training stops at the lowest layer with
+// parameters (backwardBatch); this helper keeps the input-gradient kernels
+// of that layer and of the layers below it under test.
+func backwardAll(m *Model, gradOut []float64, n int) []float64 {
+	g := gradOut
+	for i := len(m.layers) - 1; i >= 0; i-- {
+		g = m.layers[i].BackwardBatch(g, n)
+	}
+	return g
+}
+
 func itoa(n int) string {
 	if n == 0 {
 		return "0"
@@ -370,3 +382,97 @@ func TestInferenceModeUnchangedAndTrainable(t *testing.T) {
 		t.Fatalf("gradcheck after Fit+Predict: max relative error %.3e", maxRel)
 	}
 }
+
+// TestFirstTrainableLayerSkipsInputGradient pins backwardBatch's stop at
+// the lowest layer with parameters, for every kind of parameter layer: its
+// parameter gradients equal those of a full backward pass bit for bit, and
+// neither a batched step nor a FitSource run allocates the buffers of the
+// input gradient it skips.
+func TestFirstTrainableLayerSkipsInputGradient(t *testing.T) {
+	cases := []struct {
+		name string
+		mk   func() *Model
+		// inputGrad returns the first trainable layer's input-gradient buffers.
+		inputGrad func(m *Model) [][]float64
+	}{
+		{"conv1d", func() *Model {
+			return NewModel().Add(NewReshape(24, 1)).Add(NewConv1D(3, 4, 4)).Add(NewActivation(SELU)).Add(NewFlatten()).Add(NewDense(2))
+		}, func(m *Model) [][]float64 { c := m.layers[1].(*Conv1D); return [][]float64{c.bgin, c.bdcol} }},
+		{"dense", func() *Model {
+			return NewModel().Add(NewDense(5)).Add(NewActivation(Tanh)).Add(NewDense(2))
+		}, func(m *Model) [][]float64 { return [][]float64{m.layers[0].(*Dense).bgin} }},
+		{"locallyconnected1d", func() *Model {
+			return NewModel().Add(NewReshape(24, 1)).Add(NewLocallyConnected1D(2, 4, 2)).Add(NewFlatten()).Add(NewDense(2))
+		}, func(m *Model) [][]float64 { return [][]float64{m.layers[1].(*LocallyConnected1D).bgin} }},
+		{"lstm", func() *Model {
+			return NewModel().Add(NewReshape(4, 6)).Add(NewLSTM(5)).Add(NewDense(2))
+		}, func(m *Model) [][]float64 { l := m.layers[1].(*LSTM); return [][]float64{l.bdx, l.bgin} }},
+		{"timedistributed-dense", func() *Model {
+			return NewModel().Add(NewReshape(4, 6)).Add(NewTimeDistributed(NewDense(3))).Add(NewFlatten()).Add(NewDense(2))
+		}, func(m *Model) [][]float64 {
+			return [][]float64{m.layers[1].(*TimeDistributed).Inner.(*Dense).bgin}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() *Model {
+				m := tc.mk()
+				if err := m.Build(rng.New(61), 24); err != nil {
+					t.Fatal(err)
+				}
+				return m
+			}
+			noInputGrad := func(m *Model, when string) {
+				t.Helper()
+				for i, b := range tc.inputGrad(m) {
+					if b != nil {
+						t.Errorf("%s: input-gradient buffer %d of the first trainable layer allocated (len %d)", when, i, len(b))
+					}
+				}
+			}
+			const n = 5
+			src := rng.New(62)
+			x := make([]float64, n*24)
+			g := make([]float64, n*2)
+			fillBatch(src, x)
+			fillBatch(src, g)
+
+			skip, full := build(), build()
+			skip.forwardBatch(x, n)
+			skip.backwardBatch(g, n)
+			full.forwardBatch(x, n)
+			backwardAll(full, g, n)
+			sp, fp := skip.Params(), full.Params()
+			for i := range sp {
+				expectBits(t, sp[i].Name+" grad", sp[i].Grad, fp[i].Grad)
+			}
+			noInputGrad(skip, "batched step")
+
+			fit := build()
+			xs, ys := make([][]float64, n), make([][]float64, n)
+			for i := range xs {
+				xs[i], ys[i] = x[i*24:(i+1)*24], g[i*2:(i+1)*2]
+			}
+			if _, err := fit.Fit(xs, ys, FitConfig{Epochs: 2, BatchSize: 2, Seed: 3, Workers: 2}); err != nil {
+				t.Fatal(err)
+			}
+			noInputGrad(fit, "FitSource")
+		})
+	}
+}
+
+// TestBuildRejectsParamLayerWithoutParamGrad pins Model.Build's check that
+// backwardBatch can stop at the lowest layer with parameters.
+func TestBuildRejectsParamLayerWithoutParamGrad(t *testing.T) {
+	m := NewModel().Add(&foreignParamLayer{}).Add(NewDense(2))
+	if err := m.Build(rng.New(1), 4); err == nil {
+		t.Fatal("Build accepted a parameter layer without a parameter-gradient kernel")
+	}
+}
+
+// foreignParamLayer is an identity layer with a parameter, implemented
+// outside the layer set this package ships.
+type foreignParamLayer struct{ Reshape }
+
+func (l *foreignParamLayer) Build(_ *rng.Source, in []int) ([]int, error) { return in, nil }
+func (l *foreignParamLayer) Params() []*Param                             { return []*Param{newParam("p", 1)} }

@@ -40,10 +40,12 @@ func (p *Param) ZeroGrad() {
 // kernel each output element keeps the exact accumulation order of the
 // per-sample loops, so batching is invisible to the golden-file,
 // worker-invariance and serve bitwise-identity tests. BackwardBatch
-// consumes the caches of the most recent ForwardBatch with the same n, and
-// returned blocks are owned by the layer until its next call. The
-// per-sample Forward/Backward pair is the reference those tests compare
-// against; Model.Predict and the materialized evaluators also run it.
+// consumes the caches of the most recent ForwardBatch with the same n, run
+// outside inference mode (activations keep their derivatives from it and
+// panic without them), and returned blocks are owned by the layer until
+// its next call. The per-sample Forward/Backward pair is the reference
+// those tests compare against; Model.Predict and the materialized
+// evaluators also run it.
 type Layer interface {
 	// Kind returns the canonical layer-type name ("dense", "conv1d", ...).
 	Kind() string
@@ -193,7 +195,12 @@ type ActivationLayer struct {
 	x, y, gin []float64
 	infer     bool
 
-	bx, by, bgin []float64 // batched-path caches (bx aliases the input block)
+	// Batched-path caches. A training-mode ForwardBatch writes the
+	// derivative of every element into bgin; BackwardBatch scales it by the
+	// output gradient in place. dn is the batch size whose derivatives bgin
+	// holds, 0 when it holds none.
+	by, bgin []float64
+	dn       int
 	kernelShards
 }
 
@@ -388,6 +395,7 @@ type Dropout struct {
 
 	batchSrcs       []*rng.Source // one mask stream per sample of the next batched forward
 	bmask, by, bgin []float64     // batched-path caches
+	maskN           int           // batch size of bmask's masks, 0 when none
 }
 
 // NewDropout returns a dropout layer with the given drop rate in [0,1).

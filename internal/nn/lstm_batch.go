@@ -103,14 +103,34 @@ func lstmGateBlock(g, h, cNew, cPrev []float64, n, u int) {
 // kernel sharding the dx GEMM splits by sample and the deferred loop by gate
 // row; the recurrent dh GEMM (n x u x 4u) stays serial.
 func (l *LSTM) BackwardBatch(gradOut []float64, n int) []float64 {
+	fts := l.features
+	l.bdx = pool.Grow(l.bdx, l.steps*n*fts)
+	zero(l.bdx)
+	l.bptt(gradOut, n, true)
+	l.bgin = pool.Grow(l.bgin, n*l.steps*fts)
+	for s := 0; s < n; s++ {
+		for t := 0; t < l.steps; t++ {
+			copy(l.bgin[(s*l.steps+t)*fts:(s*l.steps+t+1)*fts], l.bdx[(t*n+s)*fts:(t*n+s+1)*fts])
+		}
+	}
+	return l.bgin
+}
+
+// backwardParams implements paramGradLayer: BPTT without the per-timestep
+// dx = dg·Wx GEMM, which costs as many multiply-adds as the forward input
+// projection, and without the input-gradient blocks.
+func (l *LSTM) backwardParams(gradOut []float64, n int) { l.bptt(gradOut, n, false) }
+
+// bptt runs the t-descending sweep and the deferred parameter-gradient
+// loop, adding each timestep's input gradient into bdx when inputGrad is
+// set. Only the dx GEMM reads bdx, so leaving it out changes no other sum.
+func (l *LSTM) bptt(gradOut []float64, n int, inputGrad bool) {
 	u, fts := l.Units, l.features
 	l.bdh = pool.Grow(l.bdh, n*u)
 	copy(l.bdh, gradOut[:n*u])
 	l.bdc = pool.Grow(l.bdc, n*u)
 	zero(l.bdc)
 	l.bdg = pool.Grow(l.bdg, l.steps*n*4*u)
-	l.bdx = pool.Grow(l.bdx, l.steps*n*fts)
-	zero(l.bdx)
 	for t := l.steps - 1; t >= 0; t-- {
 		zt := l.bz[t*n*4*u : (t+1)*n*4*u] // post-activation gates from ForwardBatch
 		cPrev := l.bcs[t*n*u : (t+1)*n*u]
@@ -140,6 +160,9 @@ func (l *LSTM) BackwardBatch(gradOut []float64, n int) []float64 {
 		}
 		zero(l.bdh[:n*u])
 		tensor.Gemm(l.bdh[:n*u], dg, l.wh.Data, n, u, 4*u)
+		if !inputGrad {
+			continue
+		}
 		if w := l.shards(n, n*fts*4*u); w > 1 {
 			runShards(w, n, func(lo, hi int) { l.inputGradStep(t, n, lo, hi) })
 		} else {
@@ -151,13 +174,6 @@ func (l *LSTM) BackwardBatch(gradOut []float64, n int) []float64 {
 	} else {
 		l.paramGradRows(n, 0, 4*u)
 	}
-	l.bgin = pool.Grow(l.bgin, n*l.steps*fts)
-	for s := 0; s < n; s++ {
-		for t := 0; t < l.steps; t++ {
-			copy(l.bgin[(s*l.steps+t)*fts:(s*l.steps+t+1)*fts], l.bdx[(t*n+s)*fts:(t*n+s+1)*fts])
-		}
-	}
-	return l.bgin
 }
 
 // inputGradStep adds timestep t's input gradient dx = dg·Wx for samples

@@ -151,8 +151,9 @@ func TestHybridStackFullyBatchable(t *testing.T) {
 }
 
 // TestFusedDenseActivation pins the fused Dense+activation batch step the
-// model's batched forward always takes: bitwise identical to running each
-// layer's own kernel, for outputs, input gradients and parameter gradients.
+// model's batched forward takes for every activation: bitwise identical to
+// running each layer's own kernel, for outputs, input gradients and
+// parameter gradients.
 func TestFusedDenseActivation(t *testing.T) {
 	build := func() *Model {
 		m := NewModel().
@@ -160,6 +161,12 @@ func TestFusedDenseActivation(t *testing.T) {
 			Add(NewActivation(ReLU)).
 			Add(NewDense(10)).
 			Add(NewActivation(SELU)).
+			Add(NewDense(8)).
+			Add(NewActivation(Tanh)).
+			Add(NewDense(6)).
+			Add(NewActivation(Sigmoid)).
+			Add(NewDense(5)).
+			Add(NewActivation(Linear)).
 			Add(NewDense(4))
 		if err := m.Build(rng.New(51), 12); err != nil {
 			t.Fatal(err)
@@ -182,8 +189,8 @@ func TestFusedDenseActivation(t *testing.T) {
 	}
 	expectBits(t, "forward", yb, refY)
 
-	ginb := fused.backwardBatch(gb, n)
-	refGin := ref.backwardBatch(gb, n)
+	ginb := backwardAll(fused, gb, n)
+	refGin := backwardAll(ref, gb, n)
 	expectBits(t, "backward", ginb, refGin)
 	fp, rp := fused.Params(), ref.Params()
 	for i := range fp {

@@ -19,6 +19,9 @@ type Model struct {
 	// stack is immutable after Build), so per-batch ZeroGrad calls don't
 	// rebuild the slice.
 	params []*Param
+	// firstParam is the index of the lowest layer with parameters, -1 if
+	// none: backwardBatch stops there.
+	firstParam int
 }
 
 // NewModel returns an empty model.
@@ -54,11 +57,28 @@ func (m *Model) Build(src *rng.Source, inputShape ...int) error {
 		}
 		shape = out
 	}
+	m.firstParam = -1
+	for i, l := range m.layers {
+		ps := l.Params()
+		if len(ps) > 0 && m.firstParam < 0 {
+			if err := checkParamGrad(l); err != nil {
+				return fmt.Errorf("nn: layer %d: %w", i, err)
+			}
+			m.firstParam = i
+		}
+		m.params = append(m.params, ps...)
+	}
 	m.inputShape = append([]int(nil), inputShape...)
 	m.outputShape = shape
 	m.built = true
-	for _, l := range m.layers {
-		m.params = append(m.params, l.Params()...)
+	return nil
+}
+
+// checkParamGrad rejects a layer with parameters but no parameter-gradient
+// kernel, which backwardBatch could not stop at.
+func checkParamGrad(l Layer) error {
+	if _, ok := l.(paramGradLayer); len(l.Params()) > 0 && !ok {
+		return fmt.Errorf("%s layer has parameters but no parameter-gradient kernel", l.Kind())
 	}
 	return nil
 }

@@ -167,7 +167,9 @@ func TestShardStacksReachShards(t *testing.T) {
 		expect(fmt.Sprintf("conv %d weight gradient", i), c.Filters, 8*work)
 		expect(fmt.Sprintf("conv %d weight gradient, one sample", i), c.Filters, work)
 	}
-	expect("activation 2", 8, 8*len(conv[2].(*ActivationLayer).y)*pointwiseWork)
+	act := len(conv[2].(*ActivationLayer).y)
+	expect("activation 2 forward", 8, 8*act*activationForwardWork)
+	expect("activation 2 backward", 8, 8*act*activationBackwardWork)
 	l := shardLSTMNet(t).Layers()[0].(*LSTM)
 	g := 4 * l.Units
 	expect("lstm input projection", 8*l.steps, 8*l.steps*g*l.features)
@@ -194,7 +196,7 @@ func TestShardedStepMatchesSerial(t *testing.T) {
 			fillBatch(src, x)
 			fillBatch(src, g)
 			y = append(y, m.forwardBatch(x, n)...)
-			gin = append(gin, m.backwardBatch(g, n)...)
+			gin = append(gin, backwardAll(m, g, n)...)
 			for _, p := range m.Params() {
 				grads = append(grads, p.Grad)
 			}

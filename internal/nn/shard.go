@@ -25,11 +25,21 @@ import "specml/internal/parallel"
 // constant.
 const shardMinWork = 1 << 18
 
-// pointwiseWork is the work of one element of a pointwise kernel in
-// multiply-adds: an activation's interface-dispatched Value or Deriv takes
-// 3-10 ns against about 0.1 ns per vectorized GEMM multiply-add, so an
-// activation shards from 8192 elements (25-80 µs of work) per shard.
-const pointwiseWork = 32
+// activationForwardWork and activationBackwardWork price one element of an
+// activation layer's batched passes in multiply-adds, so that a shard
+// receives at least shardMinWork/price elements. They were measured on the
+// 2-core Xeon with a SELU layer over uniform(-1, 1) rows, one worker
+// against two, three runs per size. The forward slice kernel takes 6-12 ns
+// per element (SELU's exp and a branch taken at random); two shards broke
+// even at 2048 elements each and were 25-45% faster from 4096, so the
+// forward price is 64 (4096 elements per shard). The backward pass is one
+// multiply per element at about 1 ns, bound by memory; two shards were no
+// faster up to 16384 elements each and 13-36% faster from 32768, so the
+// backward price is 8 (32768 elements per shard).
+const (
+	activationForwardWork  = 64
+	activationBackwardWork = 8
+)
 
 // kernelShards holds a layer's kernel worker count. Layers embed it and
 // model.setKernelWorkers sets it.

@@ -55,6 +55,9 @@ func (l *TimeDistributed) Build(src *rng.Source, inputShape []int) ([]int, error
 	if err != nil {
 		return nil, fmt.Errorf("nn: timedistributed inner: %w", err)
 	}
+	if err := checkParamGrad(l.Inner); err != nil {
+		return nil, fmt.Errorf("nn: timedistributed inner: %w", err)
+	}
 	l.innerOut = shapeLen(out)
 	l.xs = make([]float64, l.steps*l.features)
 	l.y = make([]float64, l.steps*l.innerOut)
@@ -113,6 +116,12 @@ func (l *TimeDistributed) ForwardBatch(x []float64, n int) []float64 {
 // (each walks its timesteps ascending).
 func (l *TimeDistributed) BackwardBatch(gradOut []float64, n int) []float64 {
 	return l.Inner.BackwardBatch(gradOut, n*l.steps)
+}
+
+// backwardParams implements paramGradLayer by delegating to the inner
+// layer, over the same n*steps rows as BackwardBatch.
+func (l *TimeDistributed) backwardParams(gradOut []float64, n int) {
+	l.Inner.(paramGradLayer).backwardParams(gradOut, n*l.steps)
 }
 
 // Params implements Layer (the shared inner parameters).

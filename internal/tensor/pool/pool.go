@@ -3,21 +3,24 @@
 // concurrency-safe free list for buffers that cross call boundaries. Both
 // exist so the steady-state batched forward/backward path performs zero
 // heap allocation — buffers are allocated once at the high-water batch
-// size and recycled forever after.
+// size and recycled forever after. Grow allocates exactly what is asked
+// for: a layer cache is sized by the largest batch it has seen, and
+// headroom beyond that would only add to the live heap.
 package pool
 
 import "sync"
 
 // Grow returns a slice of length n backed by buf's array when its capacity
-// suffices, allocating (with headroom) only when it does not. Contents are
+// suffices, and otherwise a new array of exactly n elements. Contents are
 // unspecified; callers overwrite or zero as needed. This is the idiom for
 // layer-owned batch caches: `l.buf = pool.Grow(l.buf, n*width)` allocates
-// on the first batch and on batch-size growth, then never again.
+// on the first batch and on each new high-water batch size, then never
+// again.
 func Grow(buf []float64, n int) []float64 {
 	if cap(buf) >= n {
 		return buf[:n]
 	}
-	return make([]float64, n, roundUp(n))
+	return make([]float64, n)
 }
 
 // GrowInts is Grow for index scratch (pooling argmax buffers).
@@ -25,7 +28,7 @@ func GrowInts(buf []int, n int) []int {
 	if cap(buf) >= n {
 		return buf[:n]
 	}
-	return make([]int, n, roundUp(n))
+	return make([]int, n)
 }
 
 // Grow8 is Grow for int8 code panels (quantized activations and packed
@@ -34,7 +37,7 @@ func Grow8(buf []int8, n int) []int8 {
 	if cap(buf) >= n {
 		return buf[:n]
 	}
-	return make([]int8, n, roundUp(n))
+	return make([]int8, n)
 }
 
 // Grow32 is Grow for int32 accumulator scratch (quantized GEMM outputs).
@@ -42,12 +45,11 @@ func Grow32(buf []int32, n int) []int32 {
 	if cap(buf) >= n {
 		return buf[:n]
 	}
-	return make([]int32, n, roundUp(n))
+	return make([]int32, n)
 }
 
-// roundUp pads an allocation to the next power of two so a slowly growing
-// batch size settles after O(log n) allocations instead of reallocating on
-// every new high-water mark.
+// roundUp pads a Pool allocation to the next power of two, the capacity of
+// its bucket.
 func roundUp(n int) int {
 	c := 1
 	for c < n {

@@ -4,54 +4,60 @@ import "testing"
 
 func TestGrowReusesCapacity(t *testing.T) {
 	b := Grow(nil, 10)
-	if len(b) != 10 || cap(b) != 16 {
-		t.Fatalf("Grow(nil, 10): len=%d cap=%d, want 10/16", len(b), cap(b))
+	if len(b) != 10 || cap(b) != 10 {
+		t.Fatalf("Grow(nil, 10): len=%d cap=%d, want 10/10", len(b), cap(b))
 	}
 	b[0] = 42
 	c := Grow(b, 5)
 	if len(c) != 5 || &c[0] != &b[0] {
 		t.Fatalf("Grow within capacity must reslice the same array")
 	}
-	d := Grow(c, 16)
-	if &d[0] != &b[0] {
+	d := Grow(c, 10)
+	if len(d) != 10 || &d[0] != &b[0] {
 		t.Fatalf("Grow to exactly cap must not reallocate")
 	}
-	e := Grow(d, 17)
-	if len(e) != 17 || cap(e) != 32 {
-		t.Fatalf("Grow past cap: len=%d cap=%d, want 17/32", len(e), cap(e))
+	e := Grow(d, 11)
+	if len(e) != 11 || cap(e) != 11 || &e[0] == &b[0] {
+		t.Fatalf("Grow past cap: len=%d cap=%d, want a new array of exactly 11", len(e), cap(e))
 	}
 }
 
 func TestGrowInts(t *testing.T) {
 	b := GrowInts(nil, 3)
-	if len(b) != 3 || cap(b) != 4 {
-		t.Fatalf("GrowInts(nil, 3): len=%d cap=%d", len(b), cap(b))
+	if len(b) != 3 || cap(b) != 3 {
+		t.Fatalf("GrowInts(nil, 3): len=%d cap=%d, want 3/3", len(b), cap(b))
 	}
-	if c := GrowInts(b, 4); &c[0] != &b[0] {
+	if c := GrowInts(b, 2); &c[0] != &b[0] {
 		t.Fatalf("GrowInts within capacity must reuse the array")
+	}
+	if d := GrowInts(b, 4); len(d) != 4 || cap(d) != 4 {
+		t.Fatalf("GrowInts past cap: len=%d cap=%d, want 4/4", len(d), cap(d))
 	}
 }
 
 func TestGrow8(t *testing.T) {
 	b := Grow8(nil, 10)
-	if len(b) != 10 || cap(b) != 16 {
-		t.Fatalf("Grow8(nil, 10): len=%d cap=%d", len(b), cap(b))
+	if len(b) != 10 || cap(b) != 10 {
+		t.Fatalf("Grow8(nil, 10): len=%d cap=%d, want 10/10", len(b), cap(b))
 	}
-	if c := Grow8(b, 16); &c[0] != &b[0] {
+	if c := Grow8(b, 10); &c[0] != &b[0] {
 		t.Fatalf("Grow8 within capacity must reuse the array")
 	}
-	if d := Grow8(b, 17); cap(d) != 32 {
-		t.Fatalf("Grow8 past cap: cap=%d, want 32", cap(d))
+	if d := Grow8(b, 17); cap(d) != 17 {
+		t.Fatalf("Grow8 past cap: cap=%d, want 17", cap(d))
 	}
 }
 
 func TestGrow32(t *testing.T) {
 	b := Grow32(nil, 5)
-	if len(b) != 5 || cap(b) != 8 {
-		t.Fatalf("Grow32(nil, 5): len=%d cap=%d", len(b), cap(b))
+	if len(b) != 5 || cap(b) != 5 {
+		t.Fatalf("Grow32(nil, 5): len=%d cap=%d, want 5/5", len(b), cap(b))
 	}
-	if c := Grow32(b, 8); &c[0] != &b[0] {
+	if c := Grow32(b, 4); &c[0] != &b[0] {
 		t.Fatalf("Grow32 within capacity must reuse the array")
+	}
+	if d := Grow32(b, 8); cap(d) != 8 {
+		t.Fatalf("Grow32 past cap: cap=%d, want 8", cap(d))
 	}
 }
 
