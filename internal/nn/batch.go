@@ -51,7 +51,7 @@ func (d *Dense) backwardParams(gradOut []float64, n int) {
 	// dW += dYᵀ·X with the batch as the contraction axis: every weight
 	// element receives its per-sample contributions in ascending sample
 	// order with OuterAccum's zero-skip, matching n sequential Backwards.
-	tensor.GemmTN(d.w.Grad, gradOut, d.bx, d.Out, d.in, n)
+	tensor.GemmTN(d.w.Grad, gradOut, d.bx, d.Out, d.in, n, 0, d.Out, nil)
 	for s := 0; s < n; s++ {
 		grow := gradOut[s*d.Out : (s+1)*d.Out]
 		for i, g := range grow {
@@ -119,11 +119,12 @@ func (c *Conv1D) BackwardBatch(gradOut []float64, n int) []float64 {
 }
 
 // backwardParams implements paramGradLayer: the weight and bias gradients,
-// sharded by filter.
+// sharded by groups of 4 filters, the row group of GemmTN's AVX-512 tile.
 func (c *Conv1D) backwardParams(gradOut []float64, n int) {
 	rows := n * c.outLen
-	if w := c.shards(c.Filters, rows*c.Filters*c.Kernel*c.inCh); w > 1 {
-		runShards(w, c.Filters, func(lo, hi int) { c.paramGradFilters(gradOut, rows, lo, hi) })
+	groups := (c.Filters + 3) / 4
+	if w := c.shards(groups, rows*c.Filters*c.Kernel*c.inCh); w > 1 {
+		runShards(w, groups, func(lo, hi int) { c.paramGradFilters(gradOut, rows, 4*lo, min(4*hi, c.Filters)) })
 	} else {
 		c.paramGradFilters(gradOut, rows, 0, c.Filters)
 	}
@@ -135,7 +136,7 @@ func (c *Conv1D) backwardParams(gradOut []float64, n int) {
 // Backwards.
 func (c *Conv1D) paramGradFilters(gradOut []float64, rows, f0, f1 int) {
 	fanIn := c.Kernel * c.inCh
-	tensor.GemmTNRows(c.w.Grad, gradOut, c.bcol, c.Filters, fanIn, rows, f0, f1)
+	tensor.GemmTN(c.w.Grad, gradOut, c.bcol, c.Filters, fanIn, rows, f0, f1, nil)
 	// One register accumulator per bias element, stored once: the same
 	// additions in the same order, without a shard writing into a cache
 	// line its neighbour writes for every row.

@@ -42,6 +42,11 @@ type LSTM struct {
 	bdc  []float64 // running dc [n][u]
 	bdx  []float64 // time-major input gradients [steps][n][features]
 	bgin []float64 // sample-major input-gradient block [n][steps*features]
+	// border lists the rows t*n+s of the time-major blocks in the order
+	// n sequential Backward calls add their parameter gradients (sample
+	// ascending, timestep descending), for the batch size borderN.
+	border  []int
+	borderN int
 	kernelShards
 }
 

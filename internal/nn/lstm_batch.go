@@ -97,11 +97,11 @@ func lstmGateBlock(g, h, cNew, cPrev []float64, n, u int) {
 // computes the gate gradients elementwise and propagates dh/dx through
 // Gemm, whose zero-skip matches the per-sample `if d == 0` skip. Parameter
 // gradients must arrive in the order n sequential Backward calls produce —
-// (sample ascending, timestep DESCENDING) — which no single batched GEMM
-// over the t-major gate-gradient block emits, so they are accumulated in a
-// deferred loop over the cached gate gradients in exactly that order. Under
-// kernel sharding the dx GEMM splits by sample and the deferred loop by gate
-// row; the recurrent dh GEMM (n x u x 4u) stays serial.
+// (sample ascending, timestep DESCENDING) — which is not the row order of
+// the t-major gate-gradient block, so after the sweep one GemmTN per weight
+// matrix takes the cached gate gradients' rows in exactly that order. Under
+// kernel sharding the dx GEMM splits by sample and the weight gradients by
+// 4-row gate group; the recurrent dh GEMM (n x u x 4u) stays serial.
 func (l *LSTM) BackwardBatch(gradOut []float64, n int) []float64 {
 	fts := l.features
 	l.bdx = pool.Grow(l.bdx, l.steps*n*fts)
@@ -169,10 +169,12 @@ func (l *LSTM) bptt(gradOut []float64, n int, inputGrad bool) {
 			l.inputGradStep(t, n, 0, n)
 		}
 	}
-	if w := l.shards(4*u, n*l.steps*4*u*(fts+u)); w > 1 {
-		runShards(w, 4*u, func(lo, hi int) { l.paramGradRows(n, lo, hi) })
+	// Shard boundaries fall on the 4-row groups of GemmTN's AVX-512 tile.
+	order := l.gradOrder(n)
+	if w := l.shards(u, n*l.steps*4*u*(fts+u)); w > 1 {
+		runShards(w, u, func(lo, hi int) { l.paramGradRows(n, order, 4*lo, 4*hi) })
 	} else {
-		l.paramGradRows(n, 0, 4*u)
+		l.paramGradRows(n, order, 0, 4*u)
 	}
 }
 
@@ -184,24 +186,42 @@ func (l *LSTM) inputGradStep(t, n, lo, hi int) {
 	tensor.Gemm(l.bdx[(t*n+lo)*fts:(t*n+hi)*fts], dg, l.wx.Data, hi-lo, fts, g)
 }
 
+// gradOrder returns the rows of the time-major blocks in the order n
+// sequential Backward calls add their parameter gradients: sample
+// ascending, timestep descending. It is built once per batch size, so a
+// training step allocates nothing.
+func (l *LSTM) gradOrder(n int) []int {
+	if l.borderN != n || len(l.border) != n*l.steps {
+		l.border = pool.GrowInts(l.border, n*l.steps)
+		q := 0
+		for s := 0; s < n; s++ {
+			for t := l.steps - 1; t >= 0; t-- {
+				l.border[q] = t*n + s
+				q++
+			}
+		}
+		l.borderN = n
+	}
+	return l.border
+}
+
 // paramGradRows accumulates the Wx, Wh and bias gradients of gate rows
-// [r0, r1) from the cached gate gradients, in the order n sequential
-// Backward calls produce: sample ascending, timestep descending.
-func (l *LSTM) paramGradRows(n, r0, r1 int) {
-	u, fts := l.Units, l.features
-	for s := 0; s < n; s++ {
-		for t := l.steps - 1; t >= 0; t-- {
-			dgr := l.bdg[(t*n+s)*4*u : (t*n+s+1)*4*u]
-			xt := l.bxT[(t*n+s)*fts : (t*n+s+1)*fts]
-			hPrev := l.bhs[t*n*u+s*u : t*n*u+(s+1)*u]
-			for r := r0; r < r1; r++ {
-				d := dgr[r]
-				if d == 0 {
-					continue
-				}
-				l.b.Grad[r] += d
-				tensor.AxpySkipZero(l.wx.Grad[r*fts:(r+1)*fts], d, xt)
-				tensor.AxpySkipZero(l.wh.Grad[r*u:(r+1)*u], d, hPrev)
+// [r0, r1) from the cached gate gradients, taking the rows of the
+// time-major blocks in the given order. Row q = t*n+s of bdg holds sample
+// s's gate gradients at timestep t, with its input in row q of bxT and its
+// previous hidden state in row q of bhs, so each weight gradient is one
+// GemmTN over those rows; every element receives its products in the
+// order n sequential Backward calls add them, with their `d == 0` skip.
+func (l *LSTM) paramGradRows(n int, order []int, r0, r1 int) {
+	g, u, fts := 4*l.Units, l.Units, l.features
+	k := n * l.steps
+	dg := l.bdg[:k*g]
+	tensor.GemmTN(l.wx.Grad, dg, l.bxT[:k*fts], g, fts, k, r0, r1, order)
+	tensor.GemmTN(l.wh.Grad, dg, l.bhs[:k*u], g, u, k, r0, r1, order)
+	for _, q := range order {
+		for r, d := range dg[q*g+r0 : q*g+r1] {
+			if d != 0 {
+				l.b.Grad[r0+r] += d
 			}
 		}
 	}

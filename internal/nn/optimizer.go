@@ -3,6 +3,8 @@ package nn
 import (
 	"fmt"
 	"math"
+
+	"specml/internal/tensor"
 )
 
 // Optimizer applies one update step from the accumulated gradients of a
@@ -120,14 +122,7 @@ func (a *Adam) Step(params []*Param) {
 			a.m[p] = m
 			a.v[p] = make([]float64, len(p.Data))
 		}
-		v := a.v[p]
-		for i, g := range p.Grad {
-			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
-			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
-			mHat := m[i] / c1
-			vHat := v[i] / c2
-			p.Data[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)
-		}
+		tensor.AdamStep(p.Data, p.Grad, m, a.v[p], a.LR, a.Beta1, a.Beta2, a.Eps, c1, c2)
 	}
 }
 

@@ -2,7 +2,10 @@
 
 package render
 
-import "os"
+import (
+	"os"
+	"sync"
+)
 
 // cpuid and xgetbv are implemented in lorentz_amd64.s.
 func cpuid(op, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -20,10 +23,22 @@ func lorentzAccumAVX2(dst []float64, d0, step, num, g2 float64)
 // bit-identity contract with lorentzPairAccumGeneric as the single kernel.
 func lorentzPairAccumAVX2(dst []float64, d01, g21, num1, d02, g22, num2, step float64)
 
-// SPECML_NOASM (any non-empty value) forces the portable scalar kernels
-// even on AVX2-capable hosts, so CI can prove the scalar/SIMD bit-identity
-// contract by running the same tests down both dispatch paths.
-var hasAVX2 = os.Getenv("SPECML_NOASM") == "" && detectAVX2()
+var (
+	avx2Once sync.Once
+	hasAVX2  bool
+)
+
+// useAVX2 reports whether to run the AVX2 kernels, deciding on the first
+// call. SPECML_NOASM (any non-empty value) forces the portable scalar
+// kernels even on AVX2-capable hosts, so CI can prove the scalar/SIMD
+// bit-identity contract by running the same tests down both dispatch
+// paths. It is read here, on the first dispatch, and not in a package
+// initializer, so that `go test`, which records the environment a test
+// reads, keys its cache on it.
+func useAVX2() bool {
+	avx2Once.Do(func() { hasAVX2 = os.Getenv("SPECML_NOASM") == "" && detectAVX2() })
+	return hasAVX2
+}
 
 // detectAVX2 reports whether the CPU and OS support AVX2 (CPUID feature
 // flag plus OSXSAVE/XGETBV confirmation that YMM state is preserved).
@@ -50,7 +65,7 @@ func detectAVX2() bool {
 // hot path runs it four lanes wide where the host allows.
 func lorentzAccum(dst []float64, d0, step, num, g2 float64) {
 	n := len(dst)
-	if hasAVX2 && n >= 8 {
+	if useAVX2() && n >= 8 {
 		n4 := n &^ 3
 		lorentzAccumAVX2(dst[:n4], d0, step, num, g2)
 		for i := n4; i < n; i++ {
@@ -65,7 +80,7 @@ func lorentzAccum(dst []float64, d0, step, num, g2 float64) {
 // lorentzAccumPair dispatches the two-peak fused accumulation.
 func lorentzAccumPair(dst []float64, d01, g21, num1, d02, g22, num2, step float64) {
 	n := len(dst)
-	if hasAVX2 && n >= 8 {
+	if useAVX2() && n >= 8 {
 		n4 := n &^ 3
 		lorentzPairAccumAVX2(dst[:n4], d01, g21, num1, d02, g22, num2, step)
 		for i := n4; i < n; i++ {

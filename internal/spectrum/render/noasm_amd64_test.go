@@ -8,18 +8,18 @@ import (
 )
 
 // TestNoasmOverride proves the SPECML_NOASM escape hatch: when the
-// variable is set (the CI noasm job), package init must have left the AVX2
-// path disabled even on capable hosts, so the whole test run exercises the
+// variable is set (the CI noasm job), the first dispatch must leave the
+// AVX2 path disabled even on capable hosts, so the whole test run exercises the
 // portable scalar kernels. On an unset environment the test only checks
 // that dispatch agrees with detection.
 func TestNoasmOverride(t *testing.T) {
 	if os.Getenv("SPECML_NOASM") != "" {
-		if hasAVX2 {
+		if useAVX2() {
 			t.Fatal("SPECML_NOASM is set but the AVX2 path is still enabled")
 		}
 		return
 	}
-	if hasAVX2 != detectAVX2() {
+	if useAVX2() != detectAVX2() {
 		t.Fatalf("hasAVX2 = %v but detectAVX2() = %v with SPECML_NOASM unset", hasAVX2, detectAVX2())
 	}
 }
@@ -29,7 +29,7 @@ func TestNoasmOverride(t *testing.T) {
 // guaranteed by the bit-identity tests; this checks the flag is honored
 // even for large, vector-width-aligned inputs).
 func TestScalarDispatchForced(t *testing.T) {
-	saved := hasAVX2
+	saved := useAVX2()
 	defer func() { hasAVX2 = saved }()
 	hasAVX2 = false
 

@@ -16,15 +16,17 @@ import "fmt"
 // matrix small enough to stay cache-resident across A's rows.
 //
 // Dispatch. On amd64 hosts with AVX2 (and SPECML_NOASM unset) GemmNT and
-// the two axpy primitives every other kernel is built from (Axpy4,
+// the two axpy primitives Gemm and GemmTN are built from (Axpy4,
 // AxpySkipZero) run assembly that vectorizes across output elements: one
 // SIMD lane per C element, each adding its products with a separate
 // VMULPD and VADDPD, in the scalar loop's order. Those are the two
 // roundings of the Go statement `acc += a * b` (the amd64 Go compiler
 // never fuses them), so the lanes match the scalar kernels bit for bit.
-// The assembly never uses FMA, whose single rounding would not. The
-// portable Go kernels in gemm_generic.go are the only path elsewhere and
-// the oracle the assembly is tested against.
+// The assembly never uses FMA, whose single rounding would not. On hosts
+// with AVX-512F, GemmTN instead runs a register-tiled kernel that keeps a
+// 4 x 16 block of C in ZMM registers for its whole k loop; its zero skip
+// is a merge-masked VADDPD (gemm_amd64.s). The portable Go kernels are the
+// only path elsewhere and the oracle the assembly is tested against.
 
 // gemmKC is the k-tile size of Gemm and of GemmNT's packed B panels: one B
 // tile of gemmKC rows is reused across a whole stripe of A rows before the
@@ -85,21 +87,19 @@ func GemmNT(c, a, b []float64, m, n, k int) {
 	gemmNT(c, a, b, m, n, k)
 }
 
-// GemmTN computes C += Aᵀ*B for row-major A (k x m), B (k x n), C (m x n):
-// the weight-gradient kernel dW += dYᵀ·X, where k runs over the batch (or
-// batch x positions) dimension. Each C element receives its k contributions
-// in ascending k order because the outer loop walks k while C acts as the
-// accumulator; C (a parameter gradient) is small and stays cache-resident.
-func GemmTN(c, a, b []float64, m, n, k int) {
-	GemmTNRows(c, a, b, m, n, k, 0, m)
-}
-
-// GemmTNRows is GemmTN restricted to the C rows [i0, i1): it streams all k
-// rows of A and B but writes only those rows of C, each element with the
-// same ascending-k accumulator as GemmTN. Calls on disjoint row ranges may
-// therefore run concurrently, and together they equal one GemmTN bit for
-// bit — the way a weight gradient is split across cores.
-func GemmTNRows(c, a, b []float64, m, n, k, i0, i1 int) {
+// GemmTN computes C += Aᵀ*B over the C rows [i0, i1), for row-major A
+// (k x m), B (k x n) and C (m x n): the weight-gradient kernel dW += dYᵀ·X,
+// where k runs over the batch (or batch x positions, or batch x timesteps)
+// dimension. C element (i, j) adds A[r][i]·B[r][j] for the k rows r of A
+// and B in order, skipping every r whose scale A[r][i] is zero (±0): the
+// zero skip of the per-sample OuterAccum, and of a ReLU-sparse gradient.
+// The rows come in ascending order when order is nil; otherwise order
+// lists them, len(order) == k, each index in [0, k). Each element is one
+// accumulator that starts from its C value, so calls on disjoint row
+// ranges may run concurrently and together equal one call over [0, m) bit
+// for bit: the way a weight gradient is split across cores. The call
+// allocates nothing.
+func GemmTN(c, a, b []float64, m, n, k, i0, i1 int, order []int) {
 	if len(a) != k*m || len(b) != k*n || len(c) != m*n {
 		panic(fmt.Sprintf("tensor: GemmTN dimension mismatch (a %d, b %d, c %d for m=%d n=%d k=%d)",
 			len(a), len(b), len(c), m, n, k))
@@ -107,23 +107,46 @@ func GemmTNRows(c, a, b []float64, m, n, k, i0, i1 int) {
 	if i0 < 0 || i1 > m || i0 > i1 {
 		panic(fmt.Sprintf("tensor: GemmTN row range [%d, %d) outside [0, %d)", i0, i1, m))
 	}
+	if order != nil {
+		if len(order) != k {
+			panic(fmt.Sprintf("tensor: GemmTN order lists %d rows, want k=%d", len(order), k))
+		}
+		for _, r := range order {
+			if uint(r) >= uint(k) {
+				panic(fmt.Sprintf("tensor: GemmTN order index %d outside [0, %d)", r, k))
+			}
+		}
+	}
 	if i0 == i1 || n == 0 || k == 0 {
 		return
 	}
-	// Four k rows at a time: where all four scales are non-zero, each C
-	// element is loaded and stored once for its four products, which it
-	// still receives as four rounded additions in ascending k order.
+	gemmTN(c, a, b, m, n, k, i0, i1, order)
+}
+
+// gemmTNAxpy is GemmTN's portable kernel, and its AVX2 kernel through the
+// axpy primitives. Four k rows at a time: where all four scales are
+// non-zero, each C element is loaded and stored once for its four
+// products, which it still receives as four rounded additions in order.
+func gemmTNAxpy(c, a, b []float64, m, n, k, i0, i1 int, order []int) {
 	p := 0
 	for ; p+4 <= k; p += 4 {
-		b0, b1, b2, b3 := b[p*n:][:n], b[(p+1)*n:][:n], b[(p+2)*n:][:n], b[(p+3)*n:][:n]
+		r0, r1, r2, r3 := p, p+1, p+2, p+3
+		if order != nil {
+			r0, r1, r2, r3 = order[p], order[p+1], order[p+2], order[p+3]
+		}
+		b0, b1, b2, b3 := b[r0*n:][:n], b[r1*n:][:n], b[r2*n:][:n], b[r3*n:][:n]
 		for i := i0; i < i1; i++ {
-			axpy4SkipZero(c[i*n:][:n], a[p*m+i], b0, a[(p+1)*m+i], b1, a[(p+2)*m+i], b2, a[(p+3)*m+i], b3)
+			axpy4SkipZero(c[i*n:][:n], a[r0*m+i], b0, a[r1*m+i], b1, a[r2*m+i], b2, a[r3*m+i], b3)
 		}
 	}
 	for ; p < k; p++ {
-		brow := b[p*n:][:n]
+		r := p
+		if order != nil {
+			r = order[p]
+		}
+		brow := b[r*n:][:n]
 		for i := i0; i < i1; i++ {
-			AxpySkipZero(c[i*n:][:n], a[p*m+i], brow)
+			AxpySkipZero(c[i*n:][:n], a[r*m+i], brow)
 		}
 	}
 }

@@ -365,3 +365,201 @@ a1tailloop:
 a1done:
 	VZEROUPPER
 	RET
+
+// func gemmTN16AVX512(c, a, b *float64, order *int, rows, q0, kc, m, n int, lo, hi uint64)
+//
+// C[i][0:16] += A[idx][i]·B[idx][0:16] for i < rows and idx = order[q]
+// (or q when order is nil), q ascending over [q0, q0+kc), skipping each
+// product whose scale A[idx][i] is ±0. A C row's 16 elements sit in two
+// ZMM registers for the whole q loop; four C rows at a time, then the row
+// tail one row at a time. The skip is a merge-masked VADDPD: VCMPPD
+// predicate 4 (NEQ_UQ) against zero sets every mask bit for a non-zero
+// scale, NaN included, and none for ±0, so a skipped lane keeps its
+// accumulator bit for bit (an unmasked add of +0 would turn -0 into +0,
+// and 0·Inf would add a NaN). K1 and K2 enable the strip's columns 0-7
+// and 8-15: masked loads read nothing and masked stores write nothing
+// past the strip.
+TEXT ·gemmTN16AVX512(SB), NOSPLIT, $0-88
+	MOVQ   c+0(FP), DI
+	MOVQ   a+8(FP), SI
+	MOVQ   b+16(FP), DX
+	MOVQ   order+24(FP), R8
+	MOVQ   rows+32(FP), R9
+	MOVQ   q0+40(FP), R13
+	MOVQ   kc+48(FP), R14
+	MOVQ   m+56(FP), R11
+	MOVQ   n+64(FP), R10
+	MOVQ   lo+72(FP), AX
+	KMOVW  AX, K1
+	MOVQ   hi+80(FP), AX
+	KMOVW  AX, K2
+	SHLQ   $3, R11             // A row stride in bytes
+	SHLQ   $3, R10             // B and C row stride in bytes
+	ADDQ   R13, R14            // q end
+	LEAQ   (R10)(R10*2), R12   // 3 C rows
+	VPXORQ Z31, Z31, Z31
+
+tn4rows:
+	CMPQ R9, $4
+	JLT  tn1rows
+
+	VMOVUPD.Z (DI), K1, Z0
+	VMOVUPD.Z 64(DI), K2, Z1
+	VMOVUPD.Z (DI)(R10*1), K1, Z2
+	VMOVUPD.Z 64(DI)(R10*1), K2, Z3
+	VMOVUPD.Z (DI)(R10*2), K1, Z4
+	VMOVUPD.Z 64(DI)(R10*2), K2, Z5
+	VMOVUPD.Z (DI)(R12*1), K1, Z6
+	VMOVUPD.Z 64(DI)(R12*1), K2, Z7
+	MOVQ      R13, CX
+
+tn4k:
+	MOVQ  CX, AX
+	TESTQ R8, R8
+	JZ    tn4idx
+	MOVQ  (R8)(CX*8), AX
+
+tn4idx:
+	MOVQ         AX, BX
+	IMULQ        R11, AX
+	IMULQ        R10, BX
+	ADDQ         SI, AX
+	ADDQ         DX, BX
+	VMOVUPD.Z    (BX), K1, Z8
+	VMOVUPD.Z    64(BX), K2, Z9
+	VBROADCASTSD (AX), Z10
+	VBROADCASTSD 8(AX), Z11
+	VBROADCASTSD 16(AX), Z12
+	VBROADCASTSD 24(AX), Z13
+	VCMPPD       $4, Z31, Z10, K3
+	VCMPPD       $4, Z31, Z11, K4
+	VCMPPD       $4, Z31, Z12, K5
+	VCMPPD       $4, Z31, Z13, K6
+	VMULPD       Z8, Z10, Z14
+	VMULPD       Z9, Z10, Z15
+	VADDPD       Z14, Z0, K3, Z0
+	VADDPD       Z15, Z1, K3, Z1
+	VMULPD       Z8, Z11, Z16
+	VMULPD       Z9, Z11, Z17
+	VADDPD       Z16, Z2, K4, Z2
+	VADDPD       Z17, Z3, K4, Z3
+	VMULPD       Z8, Z12, Z18
+	VMULPD       Z9, Z12, Z19
+	VADDPD       Z18, Z4, K5, Z4
+	VADDPD       Z19, Z5, K5, Z5
+	VMULPD       Z8, Z13, Z20
+	VMULPD       Z9, Z13, Z21
+	VADDPD       Z20, Z6, K6, Z6
+	VADDPD       Z21, Z7, K6, Z7
+	INCQ         CX
+	CMPQ         CX, R14
+	JLT          tn4k
+
+	VMOVUPD Z0, K1, (DI)
+	VMOVUPD Z1, K2, 64(DI)
+	VMOVUPD Z2, K1, (DI)(R10*1)
+	VMOVUPD Z3, K2, 64(DI)(R10*1)
+	VMOVUPD Z4, K1, (DI)(R10*2)
+	VMOVUPD Z5, K2, 64(DI)(R10*2)
+	VMOVUPD Z6, K1, (DI)(R12*1)
+	VMOVUPD Z7, K2, 64(DI)(R12*1)
+
+	LEAQ (DI)(R10*4), DI
+	ADDQ $32, SI
+	SUBQ $4, R9
+	JMP  tn4rows
+
+tn1rows:
+	TESTQ R9, R9
+	JZ    tndone
+
+	VMOVUPD.Z (DI), K1, Z0
+	VMOVUPD.Z 64(DI), K2, Z1
+	MOVQ      R13, CX
+
+tn1k:
+	MOVQ  CX, AX
+	TESTQ R8, R8
+	JZ    tn1idx
+	MOVQ  (R8)(CX*8), AX
+
+tn1idx:
+	MOVQ         AX, BX
+	IMULQ        R11, AX
+	IMULQ        R10, BX
+	ADDQ         SI, AX
+	ADDQ         DX, BX
+	VBROADCASTSD (AX), Z10
+	VCMPPD       $4, Z31, Z10, K3
+	VMULPD.Z     (BX), Z10, K1, Z14
+	VMULPD.Z     64(BX), Z10, K2, Z15
+	VADDPD       Z14, Z0, K3, Z0
+	VADDPD       Z15, Z1, K3, Z1
+	INCQ         CX
+	CMPQ         CX, R14
+	JLT          tn1k
+
+	VMOVUPD Z0, K1, (DI)
+	VMOVUPD Z1, K2, 64(DI)
+	ADDQ    R10, DI
+	ADDQ    $8, SI
+	DECQ    R9
+	JMP     tn1rows
+
+tndone:
+	VZEROUPPER
+	RET
+
+// func adamAVX2(w, g, m, v []float64, lr, beta1, omb1, beta2, omb2, eps, c1, c2 float64)
+//
+// One Adam update of four elements per iteration, len(w) a multiple of 4:
+// m = beta1·m + omb1·g; v = beta2·v + (omb2·g)·g;
+// w = w - (lr·(m/c1)) / (sqrt(v/c2) + eps), each operation rounded on
+// its own as in adamGeneric.
+TEXT ·adamAVX2(SB), NOSPLIT, $0-160
+	MOVQ         w_base+0(FP), DI
+	MOVQ         w_len+8(FP), CX
+	MOVQ         g_base+24(FP), SI
+	MOVQ         m_base+48(FP), R8
+	MOVQ         v_base+72(FP), R9
+	VBROADCASTSD lr+96(FP), Y8
+	VBROADCASTSD beta1+104(FP), Y9
+	VBROADCASTSD omb1+112(FP), Y10
+	VBROADCASTSD beta2+120(FP), Y11
+	VBROADCASTSD omb2+128(FP), Y12
+	VBROADCASTSD eps+136(FP), Y13
+	VBROADCASTSD c1+144(FP), Y14
+	VBROADCASTSD c2+152(FP), Y15
+	SHRQ         $2, CX
+	JZ           adamdone
+
+adamloop:
+	VMOVUPD (SI), Y0
+	VMULPD  (R8), Y9, Y1
+	VMULPD  Y0, Y10, Y2
+	VADDPD  Y2, Y1, Y1      // m
+	VMOVUPD Y1, (R8)
+	VMULPD  (R9), Y11, Y3
+	VMULPD  Y0, Y12, Y4
+	VMULPD  Y0, Y4, Y4
+	VADDPD  Y4, Y3, Y3      // v
+	VMOVUPD Y3, (R9)
+	VDIVPD  Y14, Y1, Y1     // m / c1
+	VDIVPD  Y15, Y3, Y3     // v / c2
+	VSQRTPD Y3, Y3
+	VADDPD  Y13, Y3, Y3
+	VMULPD  Y1, Y8, Y1
+	VDIVPD  Y3, Y1, Y1
+	VMOVUPD (DI), Y5
+	VSUBPD  Y1, Y5, Y5
+	VMOVUPD Y5, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	ADDQ    $32, R8
+	ADDQ    $32, R9
+	DECQ    CX
+	JNZ     adamloop
+
+adamdone:
+	VZEROUPPER
+	RET

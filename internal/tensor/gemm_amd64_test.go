@@ -9,19 +9,11 @@ import (
 	"specml/internal/rng"
 )
 
-// The float64 kernels contract bit-identity between the AVX2 assembly and
-// the portable Go loops (the NOASM CI job runs every other test down the
-// scalar path). These tests run each public kernel both ways on one AVX2
-// host and compare the bits. Slices are sized exactly, so an assembly
+// The float64 kernels contract bit-identity between the assembly and the
+// portable Go loops (the NOASM CI job runs every other test down the
+// scalar path). These tests run each public kernel at the Go level and at
+// each assembly level the host has, and compare the bits. Slices are sized exactly, so an assembly
 // over-read shows up as a bounds panic on the Go side or as a wrong tail.
-
-// scalarOnly runs f with the AVX2 dispatch switched off.
-func scalarOnly(f func()) {
-	saved := hasAVX2
-	hasAVX2 = false
-	defer func() { hasAVX2 = saved }()
-	f()
-}
 
 // asmShapes covers m = 1 and k = 1, row tails (m % 4), 8- and 4-wide
 // panels with and without a scalar column tail (the Table-1 widths 25, 15
@@ -34,7 +26,7 @@ var asmShapes = []struct{ m, n, k int }{
 }
 
 func TestGemmNTAsmMatchesGeneric(t *testing.T) {
-	if !hasAVX2 {
+	if simd() < levelAVX2 {
 		t.Skip("no AVX2 (or SPECML_NOASM set)")
 	}
 	src := rng.New(41)
@@ -70,7 +62,7 @@ func TestGemmNTAsmMatchesGeneric(t *testing.T) {
 }
 
 func TestGemmAsmMatchesGeneric(t *testing.T) {
-	if !hasAVX2 {
+	if simd() < levelAVX2 {
 		t.Skip("no AVX2 (or SPECML_NOASM set)")
 	}
 	src := rng.New(42)
@@ -82,7 +74,7 @@ func TestGemmAsmMatchesGeneric(t *testing.T) {
 		fillRand(src, b)
 		fillSpecial(src, c, 8)
 		want := append([]float64(nil), c...)
-		scalarOnly(func() { Gemm(want, a, b, s.m, s.n, s.k) })
+		withLevel(levelGo, func() { Gemm(want, a, b, s.m, s.n, s.k) })
 		got := append([]float64(nil), c...)
 		Gemm(got, a, b, s.m, s.n, s.k)
 		if i, ok := sameBits(got, want); !ok {
@@ -91,8 +83,11 @@ func TestGemmAsmMatchesGeneric(t *testing.T) {
 	}
 }
 
+// TestGemmTNRowsAsmMatchesGeneric runs GemmTN over a row range at each
+// assembly level the host has (the AVX2 axpy passes and the AVX-512 tiles)
+// against the Go loops, with ascending and permuted row orders.
 func TestGemmTNRowsAsmMatchesGeneric(t *testing.T) {
-	if !hasAVX2 {
+	if simd() < levelAVX2 {
 		t.Skip("no AVX2 (or SPECML_NOASM set)")
 	}
 	src := rng.New(43)
@@ -104,18 +99,23 @@ func TestGemmTNRowsAsmMatchesGeneric(t *testing.T) {
 		fillSpecial(src, b, 4*s.k*s.m)
 		fillSpecial(src, c, 8)
 		i0, i1 := s.m/3, s.m-s.m/4
-		want := append([]float64(nil), c...)
-		scalarOnly(func() { GemmTNRows(want, a, b, s.m, s.n, s.k, i0, i1) })
-		got := append([]float64(nil), c...)
-		GemmTNRows(got, a, b, s.m, s.n, s.k, i0, i1)
-		if i, ok := sameBits(got, want); !ok {
-			t.Fatalf("shape %+v rows [%d,%d) element %d: asm %g vs generic %g", s, i0, i1, i, got[i], want[i])
+		for _, order := range [][]int{nil, src.Perm(s.k)} {
+			want := append([]float64(nil), c...)
+			withLevel(levelGo, func() { GemmTN(want, a, b, s.m, s.n, s.k, i0, i1, order) })
+			for l := levelAVX2; l <= simd(); l++ {
+				got := append([]float64(nil), c...)
+				withLevel(l, func() { GemmTN(got, a, b, s.m, s.n, s.k, i0, i1, order) })
+				if i, ok := sameBits(got, want); !ok {
+					t.Fatalf("%s shape %+v rows [%d,%d) element %d: asm %g vs generic %g",
+						levelNames[l], s, i0, i1, i, got[i], want[i])
+				}
+			}
 		}
 	}
 }
 
 func TestAxpyAsmMatchesGeneric(t *testing.T) {
-	if !hasAVX2 {
+	if simd() < levelAVX2 {
 		t.Skip("no AVX2 (or SPECML_NOASM set)")
 	}
 	src := rng.New(44)
@@ -139,7 +139,7 @@ func TestAxpyAsmMatchesGeneric(t *testing.T) {
 		for _, a := range sc {
 			want = append(want[:0], y...)
 			got = append(got[:0], y...)
-			scalarOnly(func() { AxpySkipZero(want, a, x[1]) })
+			withLevel(levelGo, func() { AxpySkipZero(want, a, x[1]) })
 			AxpySkipZero(got, a, x[1])
 			if i, ok := sameBits(got, want); !ok {
 				t.Fatalf("AxpySkipZero n=%d a=%g element %d: asm %g vs generic %g", n, a, i, got[i], want[i])

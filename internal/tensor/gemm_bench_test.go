@@ -59,7 +59,7 @@ func BenchmarkGemmTNWeightGrad(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		GemmTN(cm, am, bm, m, n, k)
+		GemmTN(cm, am, bm, m, n, k, 0, m, nil)
 	}
 }
 
@@ -110,7 +110,64 @@ func BenchmarkGemmTNTable1Conv3(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		GemmTN(cm, am, bm, m, n, k)
+		GemmTN(cm, am, bm, m, n, k, 0, m, nil)
 	}
 	b.ReportMetric(2*float64(m*n*k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+}
+
+// benchGemmTNLevels runs GemmTN at one weight-gradient shape once per
+// dispatch level the host has (sub-benchmarks go, avx2, avx512). A holds
+// about 20% exact zeros, like a ReLU-sparse gradient; ordered takes the
+// k rows in the LSTM's sample-ascending, timestep-descending order.
+func benchGemmTNLevels(b *testing.B, m, n, k int, ordered bool) {
+	src := rng.New(105)
+	am, bm, cm := make([]float64, k*m), make([]float64, k*n), make([]float64, m*n)
+	fillRand(src, am)
+	fillRand(src, bm)
+	order := tnOrder(src, 0, k)
+	if ordered {
+		order = tnOrder(src, 3, k)
+	}
+	for _, l := range hostLevels() {
+		withLevel(l, func() {
+			b.Run(levelNames[l], func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					GemmTN(cm, am, bm, m, n, k, 0, m, order)
+				}
+				b.ReportMetric(2*float64(m*n*k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		})
+	}
+}
+
+// The Table-2 LSTM's weight gradients at batch 32 x 5 steps: Wx (4 x 32
+// gate rows by 1700 features) and Wh (by 32 units).
+func BenchmarkGemmTNLSTMWx(b *testing.B) { benchGemmTNLevels(b, 128, 1700, 160, true) }
+
+func BenchmarkGemmTNLSTMWh(b *testing.B) { benchGemmTNLevels(b, 128, 32, 160, true) }
+
+// The Table-1 conv layers 1 (25 filters x fanIn 20 over 32 x 180 windows)
+// and 3 (25 x 500 over 32 x 54) at batch 32.
+func BenchmarkGemmTNTable1Conv1Levels(b *testing.B) { benchGemmTNLevels(b, 25, 20, 5760, false) }
+
+func BenchmarkGemmTNTable1Conv3Levels(b *testing.B) { benchGemmTNLevels(b, 25, 500, 1728, false) }
+
+// BenchmarkAxpy4Conv1Row is one Axpy4 call at the Table-1 conv 1 row
+// length (fanIn 20): the fixed per-call cost of the dispatch gate, the
+// wrapper and the kernel call, next to 80 multiply-adds.
+func BenchmarkAxpy4Conv1Row(b *testing.B) {
+	src := rng.New(106)
+	y, x := make([]float64, 20), make([]float64, 80)
+	fillRand(src, y)
+	fillRand(src, x)
+	for _, l := range hostLevels() {
+		withLevel(l, func() {
+			b.Run(levelNames[l], func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					Axpy4(y, 0.5, x[0:20], -0.25, x[20:40], 0.125, x[40:60], 1e-3, x[60:80])
+				}
+			})
+		})
+	}
 }

@@ -81,11 +81,11 @@ func FuzzGemmFloat(f *testing.F) {
 		}
 		run("Gemm", false, false, true, func(c, a, b []float64) { Gemm(c, a, b, m, n, k) })
 		run("GemmNT", false, true, false, func(c, a, b []float64) { GemmNT(c, a, b, m, n, k) })
-		run("GemmTN", true, false, true, func(c, a, b []float64) { GemmTN(c, a, b, m, n, k) })
+		run("GemmTN", true, false, true, func(c, a, b []float64) { GemmTN(c, a, b, m, n, k, 0, m, nil) })
 		split := m / 2
-		run("GemmTNRows", true, false, true, func(c, a, b []float64) {
-			GemmTNRows(c, a, b, m, n, k, 0, split)
-			GemmTNRows(c, a, b, m, n, k, split, m)
+		run("GemmTN rows", true, false, true, func(c, a, b []float64) {
+			GemmTN(c, a, b, m, n, k, 0, split, nil)
+			GemmTN(c, a, b, m, n, k, split, m, nil)
 		})
 
 		// The axpy primitives over k elements against their scalar loops.

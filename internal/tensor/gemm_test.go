@@ -112,14 +112,14 @@ func TestGemmTNMatchesOrderedReference(t *testing.T) {
 		fillRand(src, c)
 		want := append([]float64(nil), c...)
 		refGemm(want, a, b, s.m, s.n, s.k, true, false, true)
-		GemmTN(c, a, b, s.m, s.n, s.k)
+		GemmTN(c, a, b, s.m, s.n, s.k, 0, s.m, nil)
 		bitsEqual(t, "GemmTN", c, want)
 	}
 }
 
-// TestGemmTNRowsComposesGemmTN pins the sharding contract of GemmTNRows:
-// any split of C's rows into ranges, each computed by its own call,
-// reproduces one GemmTN bit for bit.
+// TestGemmTNRowsComposesGemmTN pins the sharding contract of GemmTN's row
+// range: any split of C's rows into ranges, each computed by its own call,
+// reproduces one call over every row bit for bit.
 func TestGemmTNRowsComposesGemmTN(t *testing.T) {
 	src := rng.New(15)
 	for _, s := range gemmShapes {
@@ -133,13 +133,13 @@ func TestGemmTNRowsComposesGemmTN(t *testing.T) {
 			a[i] = 0 // exercise the zero skip inside a range
 		}
 		want := append([]float64(nil), c...)
-		GemmTN(want, a, b, s.m, s.n, s.k)
+		GemmTN(want, a, b, s.m, s.n, s.k, 0, s.m, nil)
 		for _, parts := range []int{1, 2, 3, 7} {
 			got := append([]float64(nil), c...)
 			for i := 0; i < parts; i++ {
-				GemmTNRows(got, a, b, s.m, s.n, s.k, i*s.m/parts, (i+1)*s.m/parts)
+				GemmTN(got, a, b, s.m, s.n, s.k, i*s.m/parts, (i+1)*s.m/parts, nil)
 			}
-			bitsEqual(t, "GemmTNRows", got, want)
+			bitsEqual(t, "GemmTN rows", got, want)
 		}
 	}
 	defer func() {
@@ -147,7 +147,7 @@ func TestGemmTNRowsComposesGemmTN(t *testing.T) {
 			t.Fatalf("expected panic on a row range outside C")
 		}
 	}()
-	GemmTNRows(make([]float64, 4), make([]float64, 4), make([]float64, 4), 2, 2, 2, 1, 3)
+	GemmTN(make([]float64, 4), make([]float64, 4), make([]float64, 4), 2, 2, 2, 1, 3, nil)
 }
 
 func TestMatMulToMatchesMatMul(t *testing.T) {
@@ -170,7 +170,7 @@ func TestGemmZeroDims(t *testing.T) {
 	// Degenerate shapes must be no-ops, not panics.
 	Gemm(nil, nil, nil, 0, 0, 0)
 	GemmNT(nil, nil, nil, 0, 3, 0)
-	GemmTN(nil, nil, nil, 2, 0, 0)
+	GemmTN(nil, nil, nil, 2, 0, 0, 0, 2, nil)
 }
 
 func TestGemmDimensionMismatchPanics(t *testing.T) {

@@ -2,14 +2,6 @@
 
 package tensor
 
-import "os"
-
-// cpuid and xgetbv are implemented in int8_amd64.s (assembly symbols are
-// package-scoped, so the detection pair from internal/spectrum/render is
-// duplicated here rather than exported).
-func cpuid(op, sub uint32) (eax, ebx, ecx, edx uint32)
-func xgetbv() (eax, edx uint32)
-
 // gemmInt8NTAVX2 computes C += A·Bᵀ over int8 panels with int32
 // accumulation, 16 codes per VPMADDWD step. k must be a positive multiple
 // of 16 (KPad16 layout). Bit-identical to gemmInt8NTGeneric: integer sums
@@ -26,33 +18,8 @@ func quantizeInt8AVX2(dst []int8, src []float64, inv float64)
 // iteration. len(x) must be a positive multiple of 4.
 func maxAbsAVX2(x []float64) float64
 
-// SPECML_NOASM (any non-empty value) forces the portable scalar kernels
-// even on AVX2-capable hosts, so CI can prove the scalar/SIMD bit-identity
-// contract by running the same tests down both dispatch paths.
-var hasAVX2 = os.Getenv("SPECML_NOASM") == "" && detectAVX2()
-
-// detectAVX2 reports whether the CPU and OS support AVX2 (CPUID feature
-// flag plus OSXSAVE/XGETBV confirmation that YMM state is preserved).
-func detectAVX2() bool {
-	maxID, _, _, _ := cpuid(0, 0)
-	if maxID < 7 {
-		return false
-	}
-	_, _, ecx, _ := cpuid(1, 0)
-	const osxsave = 1 << 27
-	const avx = 1 << 28
-	if ecx&osxsave == 0 || ecx&avx == 0 {
-		return false
-	}
-	if eax, _ := xgetbv(); eax&6 != 6 {
-		return false
-	}
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&(1<<5) != 0
-}
-
 func gemmInt8NT(c []int32, a, b []int8, m, n, k int) {
-	if hasAVX2 && k >= 16 && k%16 == 0 {
+	if simd() >= levelAVX2 && k >= 16 && k%16 == 0 {
 		gemmInt8NTAVX2(c, a, b, m, n, k)
 		return
 	}
@@ -61,7 +28,7 @@ func gemmInt8NT(c []int32, a, b []int8, m, n, k int) {
 
 func quantizeInt8(dst []int8, src []float64, inv float64) {
 	n := len(src)
-	if hasAVX2 && n >= 8 {
+	if simd() >= levelAVX2 && n >= 8 {
 		n4 := n &^ 3
 		quantizeInt8AVX2(dst[:n4], src[:n4], inv)
 		quantizeInt8Generic(dst[n4:], src[n4:], inv)
@@ -72,7 +39,7 @@ func quantizeInt8(dst []int8, src []float64, inv float64) {
 
 func maxAbs(x []float64) float64 {
 	n := len(x)
-	if hasAVX2 && n >= 8 {
+	if simd() >= levelAVX2 && n >= 8 {
 		n4 := n &^ 3
 		m := maxAbsAVX2(x[:n4])
 		if t := maxAbsGeneric(x[n4:]); t > m {

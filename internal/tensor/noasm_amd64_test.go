@@ -15,7 +15,7 @@ import (
 // directly on an AVX2 host.
 
 func TestGemmInt8AsmMatchesGeneric(t *testing.T) {
-	if !hasAVX2 {
+	if simd() < levelAVX2 {
 		t.Skip("no AVX2 (or SPECML_NOASM set)")
 	}
 	src := rng.New(31)
@@ -43,7 +43,7 @@ func TestGemmInt8AsmMatchesGeneric(t *testing.T) {
 }
 
 func TestQuantizeInt8AsmMatchesGeneric(t *testing.T) {
-	if !hasAVX2 {
+	if simd() < levelAVX2 {
 		t.Skip("no AVX2 (or SPECML_NOASM set)")
 	}
 	src := rng.New(32)
@@ -77,7 +77,7 @@ func TestQuantizeInt8AsmMatchesGeneric(t *testing.T) {
 }
 
 func TestMaxAbsAsmMatchesGeneric(t *testing.T) {
-	if !hasAVX2 {
+	if simd() < levelAVX2 {
 		t.Skip("no AVX2 (or SPECML_NOASM set)")
 	}
 	src := rng.New(33)
