@@ -41,7 +41,7 @@ func (d *Dense) BackwardBatch(gradOut []float64, n int) []float64 {
 	d.backwardParams(gradOut, n)
 	d.bgin = pool.Grow(d.bgin, n*d.in)
 	zero(d.bgin)
-	// dX = dY·W: per row, ascending output index with MatTVec's zero-skip.
+	// dX = dY·W: per row, ascending output index like MatTVec.
 	tensor.Gemm(d.bgin, gradOut, d.w.Data, n, d.in, d.Out)
 	return d.bgin
 }
@@ -50,7 +50,7 @@ func (d *Dense) BackwardBatch(gradOut []float64, n int) []float64 {
 func (d *Dense) backwardParams(gradOut []float64, n int) {
 	// dW += dYᵀ·X with the batch as the contraction axis: every weight
 	// element receives its per-sample contributions in ascending sample
-	// order with OuterAccum's zero-skip, matching n sequential Backwards.
+	// order, matching n sequential Backwards.
 	tensor.GemmTN(d.w.Grad, gradOut, d.bx, d.Out, d.in, n, 0, d.Out, nil)
 	for s := 0; s < n; s++ {
 		grow := gradOut[s*d.Out : (s+1)*d.Out]
@@ -132,8 +132,7 @@ func (c *Conv1D) backwardParams(gradOut []float64, n int) {
 
 // paramGradFilters accumulates the weight and bias gradients of filters
 // [f0, f1). dW += dYᵀ·col: contributions arrive in ascending (sample,
-// position) order with the gf==0 skip — the order of n sequential
-// Backwards.
+// position) order, the order of n sequential Backwards.
 func (c *Conv1D) paramGradFilters(gradOut []float64, rows, f0, f1 int) {
 	fanIn := c.Kernel * c.inCh
 	tensor.GemmTN(c.w.Grad, gradOut, c.bcol, c.Filters, fanIn, rows, f0, f1, nil)
@@ -143,9 +142,7 @@ func (c *Conv1D) paramGradFilters(gradOut []float64, rows, f0, f1 int) {
 	for f := f0; f < f1; f++ {
 		acc := c.b.Grad[f]
 		for r := 0; r < rows; r++ {
-			if gf := gradOut[r*c.Filters+f]; gf != 0 {
-				acc += gf
-			}
+			acc += gradOut[r*c.Filters+f]
 		}
 		c.b.Grad[f] = acc
 	}
@@ -174,44 +171,16 @@ func (c *Conv1D) inputGradSamples(gradOut []float64, lo, hi int) {
 	}
 	// Overlapping windows: an input element collects contributions from
 	// several positions interleaved by filter; only the per-sample loop
-	// order (position ascending, then filter ascending, zeros skipped)
-	// reproduces that addition sequence.
+	// order (position ascending, then filter ascending) reproduces that
+	// addition sequence. Each window adds Σ_f g[f]·W[f] as a one-row Gemm,
+	// whose k loop runs the filters in that order.
 	for s := lo; s < hi; s++ {
 		gin := c.bgin[s*inSize : (s+1)*inSize]
 		gs := gradOut[s*oSize : (s+1)*oSize]
 		for p := 0; p < c.outLen; p++ {
 			base := p * c.Stride * c.inCh
-			c.windowGrad(gin[base:base+fanIn], gs[p*c.Filters:(p+1)*c.Filters])
+			tensor.Gemm(gin[base:base+fanIn], gs[p*c.Filters:(p+1)*c.Filters], c.w.Data, 1, fanIn, c.Filters)
 		}
-	}
-}
-
-// windowGrad adds Σ_f g[f]·W[f] to one window of the input gradient,
-// filters ascending and zero g[f] skipped, like the per-sample Backward.
-// Non-zero filters are taken four at a time so each window element is
-// loaded and stored once per four products; the element still receives
-// them one rounded addition at a time, in filter order.
-func (c *Conv1D) windowGrad(win, g []float64) {
-	fanIn := len(win)
-	w := c.w.Data
-	f := 0
-	for {
-		var nz [4]int
-		k := 0
-		for ; f < len(g) && k < 4; f++ {
-			if g[f] != 0 {
-				nz[k] = f
-				k++
-			}
-		}
-		if k < 4 {
-			for _, fi := range nz[:k] {
-				tensor.AxpySkipZero(win, g[fi], w[fi*fanIn:(fi+1)*fanIn])
-			}
-			return
-		}
-		tensor.Axpy4(win, g[nz[0]], w[nz[0]*fanIn:][:fanIn], g[nz[1]], w[nz[1]*fanIn:][:fanIn],
-			g[nz[2]], w[nz[2]*fanIn:][:fanIn], g[nz[3]], w[nz[3]*fanIn:][:fanIn])
 	}
 }
 
@@ -286,9 +255,6 @@ func (c *LocallyConnected1D) backward(gradOut []float64, n int, gin []float64) {
 			gbp := c.b.Grad[p*c.Filters : (p+1)*c.Filters]
 			for f := 0; f < c.Filters; f++ {
 				gf := g[f]
-				if gf == 0 {
-					continue
-				}
 				gbp[f] += gf
 				gwf := gwp[f*fanIn : (f+1)*fanIn]
 				if ginWin == nil {

@@ -226,7 +226,7 @@ func BenchmarkLSTMFitEpoch(b *testing.B) {
 
 // BenchmarkConvWindowGradTable1Conv3 times the overlapping-window input
 // gradient of Table-1 conv layer 3 at batch 32 (180 x 25 input, kernel 20,
-// stride 3, 25 filters, 54 positions): one windowGrad call per sample and
+// stride 3, 25 filters, 54 positions): one one-row Gemm per sample and
 // position, each adding 25 filter rows of 500 weights.
 func BenchmarkConvWindowGradTable1Conv3(b *testing.B) {
 	const n = 32

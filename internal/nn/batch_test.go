@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"specml/internal/rng"
@@ -17,6 +18,10 @@ type batchCase struct {
 	shape []int // layer input shape
 	mk    func() Layer
 	train bool // run Dropout in training mode with seeded per-sample streams
+	// infInput sets the first input element to +Inf and the output
+	// gradient it meets to zero: 0·Inf = NaN must reach the weight
+	// gradient on both paths.
+	infInput bool
 }
 
 var batchCases = []batchCase{
@@ -37,10 +42,16 @@ var batchCases = []batchCase{
 	{name: "lstm", shape: []int{5, 3}, mk: func() Layer { return NewLSTM(6) }},
 	{name: "timedistributed-dense", shape: []int{4, 6}, mk: func() Layer { return NewTimeDistributed(NewDense(3)) }},
 	{name: "timedistributed-lc1d", shape: []int{4, 10}, mk: func() Layer { return NewTimeDistributed(NewLocallyConnected1D(2, 3, 2), 10, 1) }},
+	{name: "dense-inf", shape: []int{23}, mk: func() Layer { return NewDense(11) }, infInput: true},
+	{name: "conv1d-overlap-inf", shape: []int{40, 2}, mk: func() Layer { return NewConv1D(5, 5, 2) }, infInput: true},
+	{name: "locallyconnected1d-inf", shape: []int{30, 2}, mk: func() Layer { return NewLocallyConnected1D(3, 4, 2) }, infInput: true},
+	// The LSTM's gates saturate at the +Inf input, so their gradients
+	// there are zero whatever the output gradient.
+	{name: "lstm-inf", shape: []int{5, 3}, mk: func() Layer { return NewLSTM(6) }, infInput: true},
 }
 
-// fillBatch fills s with values in (-1.5, 1.5), forcing ~20% exact zeros so
-// the kernels' zero-skip branches face the same sparsity as ReLU gradients.
+// fillBatch fills s with values in (-1.5, 1.5), forcing ~20% exact zeros,
+// the sparsity of ReLU gradients.
 func fillBatch(src *rng.Source, s []float64) {
 	for i := range s {
 		if src.Float64() < 0.2 {
@@ -51,12 +62,17 @@ func fillBatch(src *rng.Source, s []float64) {
 	}
 }
 
-func expectBits(t *testing.T, name string, got, want []float64) {
+// expectBits fails t unless got and want agree bit for bit; anyNaN counts
+// any two NaNs as equal.
+func expectBits(t *testing.T, name string, got, want []float64, anyNaN bool) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: length %d vs %d", name, len(got), len(want))
 	}
 	for i := range got {
+		if anyNaN && math.IsNaN(got[i]) && math.IsNaN(want[i]) {
+			continue
+		}
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("%s: element %d differs bitwise: %v vs %v", name, i, got[i], want[i])
 		}
@@ -66,7 +82,7 @@ func expectBits(t *testing.T, name string, got, want []float64) {
 // TestBatchLayerEquivalence pins the batched contract of Layer: for every
 // layer, ForwardBatch/BackwardBatch over a block is bit-identical —
 // outputs, input gradients, and accumulated parameter gradients — to looping
-// per-sample Forward/Backward over the rows.
+// per-sample Forward/Backward over the rows, a non-finite input included.
 func TestBatchLayerEquivalence(t *testing.T) {
 	for _, tc := range batchCases {
 		for _, n := range batchSizes {
@@ -92,6 +108,9 @@ func TestBatchLayerEquivalence(t *testing.T) {
 				gb := make([]float64, n*outLen)
 				fillBatch(src, xb)
 				fillBatch(src, gb)
+				if tc.infInput {
+					xb[0], gb[0] = math.Inf(1), 0
+				}
 
 				if d, ok := batch.(*Dropout); ok && tc.train {
 					d.SetTraining(true)
@@ -118,11 +137,14 @@ func TestBatchLayerEquivalence(t *testing.T) {
 					copy(refGin[s*inLen:(s+1)*inLen], gin)
 				}
 
-				expectBits(t, "forward n="+itoa(n), yb, refY)
-				expectBits(t, "backward n="+itoa(n), ginb, refGin)
+				expectBits(t, "forward n="+itoa(n), yb, refY, tc.infInput)
+				expectBits(t, "backward n="+itoa(n), ginb, refGin, tc.infInput)
 				bp, rp := batch.Params(), ref.Params()
 				for i := range bp {
-					expectBits(t, bp[i].Name+" grad n="+itoa(n), bp[i].Grad, rp[i].Grad)
+					expectBits(t, bp[i].Name+" grad n="+itoa(n), bp[i].Grad, rp[i].Grad, tc.infInput)
+				}
+				if tc.infInput && !slices.ContainsFunc(bp[0].Grad, math.IsNaN) {
+					t.Fatalf("%s grad n=%d: no NaN from a zero gradient times +Inf", bp[0].Name, n)
 				}
 			})
 		}
@@ -184,7 +206,7 @@ func TestForwardBatchMatchesModelForward(t *testing.T) {
 	yb := m.forwardBatch(xb, n)
 	for s := 0; s < n; s++ {
 		want := ref.Forward(xb[s*inLen : (s+1)*inLen])
-		expectBits(t, "sample "+itoa(s), yb[s*outLen:(s+1)*outLen], want)
+		expectBits(t, "sample "+itoa(s), yb[s*outLen:(s+1)*outLen], want, false)
 	}
 }
 
@@ -301,7 +323,7 @@ func TestReseedDropoutBatchMatchesPerSample(t *testing.T) {
 	for s := 0; s < n; s++ {
 		ref.reseedDropout(seeds[s])
 		want := ref.Forward(xb[s*inLen : (s+1)*inLen])
-		expectBits(t, "sample "+itoa(s), yb[s*outLen:(s+1)*outLen], want)
+		expectBits(t, "sample "+itoa(s), yb[s*outLen:(s+1)*outLen], want, false)
 	}
 }
 
@@ -336,7 +358,7 @@ func TestPredictBatchLSTMBatched(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range rows {
-			expectBits(t, "row "+itoa(i), got[i], want[i])
+			expectBits(t, "row "+itoa(i), got[i], want[i], false)
 		}
 	}
 }
@@ -368,7 +390,7 @@ func TestInferenceModeUnchangedAndTrainable(t *testing.T) {
 	// Reference forward without ever touching the inference flag.
 	ref.SetTraining(false)
 	want := append([]float64(nil), ref.Forward(x)...)
-	expectBits(t, "predict", m.Predict(x), want)
+	expectBits(t, "predict", m.Predict(x), want, false)
 
 	// Train a little, predict in between, then gradcheck: Backward must see
 	// correct snapshots even though Predict ran with the flag on.
@@ -444,7 +466,7 @@ func TestFirstTrainableLayerSkipsInputGradient(t *testing.T) {
 			backwardAll(full, g, n)
 			sp, fp := skip.Params(), full.Params()
 			for i := range sp {
-				expectBits(t, sp[i].Name+" grad", sp[i].Grad, fp[i].Grad)
+				expectBits(t, sp[i].Name+" grad", sp[i].Grad, fp[i].Grad, false)
 			}
 			noInputGrad(skip, "batched step")
 

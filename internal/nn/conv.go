@@ -127,9 +127,6 @@ func (c *Conv1D) Backward(gradOut []float64) []float64 {
 		g := gradOut[p*c.Filters : (p+1)*c.Filters]
 		for f := 0; f < c.Filters; f++ {
 			gf := g[f]
-			if gf == 0 {
-				continue
-			}
 			c.b.Grad[f] += gf
 			wf := c.w.Data[f*fanIn : (f+1)*fanIn]
 			gwf := c.w.Grad[f*fanIn : (f+1)*fanIn]
@@ -248,9 +245,6 @@ func (c *LocallyConnected1D) Backward(gradOut []float64) []float64 {
 		gbp := c.b.Grad[p*c.Filters : (p+1)*c.Filters]
 		for f := 0; f < c.Filters; f++ {
 			gf := g[f]
-			if gf == 0 {
-				continue
-			}
 			gbp[f] += gf
 			wf := wp[f*fanIn : (f+1)*fanIn]
 			gwf := gwp[f*fanIn : (f+1)*fanIn]

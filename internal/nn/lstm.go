@@ -178,9 +178,6 @@ func (l *LSTM) Backward(gradOut []float64) []float64 {
 		}
 		for r := 0; r < 4*u; r++ {
 			d := dg[r]
-			if d == 0 {
-				continue
-			}
 			l.b.Grad[r] += d
 			wxRow := l.wx.Data[r*l.features : (r+1)*l.features]
 			gwxRow := l.wx.Grad[r*l.features : (r+1)*l.features]

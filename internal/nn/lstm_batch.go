@@ -95,7 +95,7 @@ func lstmGateBlock(g, h, cNew, cPrev []float64, n, u int) {
 
 // BackwardBatch implements Layer (batched BPTT). The t-descending sweep
 // computes the gate gradients elementwise and propagates dh/dx through
-// Gemm, whose zero-skip matches the per-sample `if d == 0` skip. Parameter
+// Gemm, which adds in the per-sample loop's gate order. Parameter
 // gradients must arrive in the order n sequential Backward calls produce —
 // (sample ascending, timestep DESCENDING) — which is not the row order of
 // the t-major gate-gradient block, so after the sweep one GemmTN per weight
@@ -179,7 +179,7 @@ func (l *LSTM) bptt(gradOut []float64, n int, inputGrad bool) {
 }
 
 // inputGradStep adds timestep t's input gradient dx = dg·Wx for samples
-// [lo, hi); Gemm's zero skip matches the per-sample `if d == 0` skip.
+// [lo, hi).
 func (l *LSTM) inputGradStep(t, n, lo, hi int) {
 	g, fts := 4*l.Units, l.features
 	dg := l.bdg[(t*n+lo)*g : (t*n+hi)*g]
@@ -211,7 +211,7 @@ func (l *LSTM) gradOrder(n int) []int {
 // s's gate gradients at timestep t, with its input in row q of bxT and its
 // previous hidden state in row q of bhs, so each weight gradient is one
 // GemmTN over those rows; every element receives its products in the
-// order n sequential Backward calls add them, with their `d == 0` skip.
+// order n sequential Backward calls add them.
 func (l *LSTM) paramGradRows(n int, order []int, r0, r1 int) {
 	g, u, fts := 4*l.Units, l.Units, l.features
 	k := n * l.steps
@@ -220,9 +220,7 @@ func (l *LSTM) paramGradRows(n int, order []int, r0, r1 int) {
 	tensor.GemmTN(l.wh.Grad, dg, l.bhs[:k*u], g, u, k, r0, r1, order)
 	for _, q := range order {
 		for r, d := range dg[q*g+r0 : q*g+r1] {
-			if d != 0 {
-				l.b.Grad[r0+r] += d
-			}
+			l.b.Grad[r0+r] += d
 		}
 	}
 }

@@ -43,11 +43,11 @@ func TestLSTMBatchBitIdentical(t *testing.T) {
 					copy(refGin[s*inLen:(s+1)*inLen], gin)
 				}
 
-				expectBits(t, "forward", yb, refY)
-				expectBits(t, "backward", ginb, refGin)
+				expectBits(t, "forward", yb, refY, false)
+				expectBits(t, "backward", ginb, refGin, false)
 				bp, rp := batch.Params(), ref.Params()
 				for i := range bp {
-					expectBits(t, bp[i].Name+" grad", bp[i].Grad, rp[i].Grad)
+					expectBits(t, bp[i].Name+" grad", bp[i].Grad, rp[i].Grad, false)
 				}
 			})
 		}
@@ -145,7 +145,7 @@ func TestHybridStackFullyBatchable(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range rows {
-			expectBits(t, "row "+itoa(i), got[i], want[i])
+			expectBits(t, "row "+itoa(i), got[i], want[i], false)
 		}
 	}
 }
@@ -187,13 +187,13 @@ func TestFusedDenseActivation(t *testing.T) {
 	for _, l := range ref.Layers() {
 		refY = l.ForwardBatch(refY, n)
 	}
-	expectBits(t, "forward", yb, refY)
+	expectBits(t, "forward", yb, refY, false)
 
 	ginb := backwardAll(fused, gb, n)
 	refGin := backwardAll(ref, gb, n)
-	expectBits(t, "backward", ginb, refGin)
+	expectBits(t, "backward", ginb, refGin, false)
 	fp, rp := fused.Params(), ref.Params()
 	for i := range fp {
-		expectBits(t, fp[i].Name+" grad", fp[i].Grad, rp[i].Grad)
+		expectBits(t, fp[i].Name+" grad", fp[i].Grad, rp[i].Grad, false)
 	}
 }

@@ -207,10 +207,10 @@ func TestShardedStepMatchesSerial(t *testing.T) {
 			for _, workers := range []int{2, 3} {
 				name := fmt.Sprintf("%s n=%d workers=%d", st.name, n, workers)
 				y, gin, grads := step(workers, n)
-				expectBits(t, name+" output", y, refY)
-				expectBits(t, name+" input gradient", gin, refGin)
+				expectBits(t, name+" output", y, refY, false)
+				expectBits(t, name+" input gradient", gin, refGin, false)
 				for i := range grads {
-					expectBits(t, fmt.Sprintf("%s param %d gradient", name, i), grads[i], refGrads[i])
+					expectBits(t, fmt.Sprintf("%s param %d gradient", name, i), grads[i], refGrads[i], false)
 				}
 			}
 		}
@@ -301,7 +301,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i := range got {
-					expectBits(t, fmt.Sprintf("workers=%d sample %d", workers, i), got[i], want[i])
+					expectBits(t, fmt.Sprintf("workers=%d sample %d", workers, i), got[i], want[i], false)
 				}
 				for _, w := range kernelWorkers(m) {
 					if w != 1 {

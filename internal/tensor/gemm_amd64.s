@@ -369,16 +369,12 @@ a1done:
 // func gemmTN16AVX512(c, a, b *float64, order *int, rows, q0, kc, m, n int, lo, hi uint64)
 //
 // C[i][0:16] += A[idx][i]·B[idx][0:16] for i < rows and idx = order[q]
-// (or q when order is nil), q ascending over [q0, q0+kc), skipping each
-// product whose scale A[idx][i] is ±0. A C row's 16 elements sit in two
-// ZMM registers for the whole q loop; four C rows at a time, then the row
-// tail one row at a time. The skip is a merge-masked VADDPD: VCMPPD
-// predicate 4 (NEQ_UQ) against zero sets every mask bit for a non-zero
-// scale, NaN included, and none for ±0, so a skipped lane keeps its
-// accumulator bit for bit (an unmasked add of +0 would turn -0 into +0,
-// and 0·Inf would add a NaN). K1 and K2 enable the strip's columns 0-7
-// and 8-15: masked loads read nothing and masked stores write nothing
-// past the strip.
+// (or q when order is nil), q ascending over [q0, q0+kc), every product
+// added, a zero scale included. A C row's 16 elements sit in two ZMM
+// registers for the whole q loop; four C rows at a time, then the row
+// tail one row at a time. K1 and K2 enable the strip's columns 0-7 and
+// 8-15: masked loads read nothing and masked stores write nothing past
+// the strip.
 TEXT ·gemmTN16AVX512(SB), NOSPLIT, $0-88
 	MOVQ   c+0(FP), DI
 	MOVQ   a+8(FP), SI
@@ -397,7 +393,6 @@ TEXT ·gemmTN16AVX512(SB), NOSPLIT, $0-88
 	SHLQ   $3, R10             // B and C row stride in bytes
 	ADDQ   R13, R14            // q end
 	LEAQ   (R10)(R10*2), R12   // 3 C rows
-	VPXORQ Z31, Z31, Z31
 
 tn4rows:
 	CMPQ R9, $4
@@ -431,26 +426,22 @@ tn4idx:
 	VBROADCASTSD 8(AX), Z11
 	VBROADCASTSD 16(AX), Z12
 	VBROADCASTSD 24(AX), Z13
-	VCMPPD       $4, Z31, Z10, K3
-	VCMPPD       $4, Z31, Z11, K4
-	VCMPPD       $4, Z31, Z12, K5
-	VCMPPD       $4, Z31, Z13, K6
 	VMULPD       Z8, Z10, Z14
 	VMULPD       Z9, Z10, Z15
-	VADDPD       Z14, Z0, K3, Z0
-	VADDPD       Z15, Z1, K3, Z1
+	VADDPD       Z14, Z0, Z0
+	VADDPD       Z15, Z1, Z1
 	VMULPD       Z8, Z11, Z16
 	VMULPD       Z9, Z11, Z17
-	VADDPD       Z16, Z2, K4, Z2
-	VADDPD       Z17, Z3, K4, Z3
+	VADDPD       Z16, Z2, Z2
+	VADDPD       Z17, Z3, Z3
 	VMULPD       Z8, Z12, Z18
 	VMULPD       Z9, Z12, Z19
-	VADDPD       Z18, Z4, K5, Z4
-	VADDPD       Z19, Z5, K5, Z5
+	VADDPD       Z18, Z4, Z4
+	VADDPD       Z19, Z5, Z5
 	VMULPD       Z8, Z13, Z20
 	VMULPD       Z9, Z13, Z21
-	VADDPD       Z20, Z6, K6, Z6
-	VADDPD       Z21, Z7, K6, Z7
+	VADDPD       Z20, Z6, Z6
+	VADDPD       Z21, Z7, Z7
 	INCQ         CX
 	CMPQ         CX, R14
 	JLT          tn4k
@@ -490,11 +481,10 @@ tn1idx:
 	ADDQ         SI, AX
 	ADDQ         DX, BX
 	VBROADCASTSD (AX), Z10
-	VCMPPD       $4, Z31, Z10, K3
 	VMULPD.Z     (BX), Z10, K1, Z14
 	VMULPD.Z     64(BX), Z10, K2, Z15
-	VADDPD       Z14, Z0, K3, Z0
-	VADDPD       Z15, Z1, K3, Z1
+	VADDPD       Z14, Z0, Z0
+	VADDPD       Z15, Z1, Z1
 	INCQ         CX
 	CMPQ         CX, R14
 	JLT          tn1k

@@ -153,9 +153,9 @@ func BenchmarkGemmTNTable1Conv1Levels(b *testing.B) { benchGemmTNLevels(b, 25, 2
 
 func BenchmarkGemmTNTable1Conv3Levels(b *testing.B) { benchGemmTNLevels(b, 25, 500, 1728, false) }
 
-// BenchmarkAxpy4Conv1Row is one Axpy4 call at the Table-1 conv 1 row
-// length (fanIn 20): the fixed per-call cost of the dispatch gate, the
-// wrapper and the kernel call, next to 80 multiply-adds.
+// BenchmarkAxpy4Conv1Row is one axpy4 call at the Table-1 conv 1 row
+// length (fanIn 20): the fixed per-call cost of the dispatch gate and the
+// kernel call, next to 80 multiply-adds.
 func BenchmarkAxpy4Conv1Row(b *testing.B) {
 	src := rng.New(106)
 	y, x := make([]float64, 20), make([]float64, 80)
@@ -165,7 +165,7 @@ func BenchmarkAxpy4Conv1Row(b *testing.B) {
 		withLevel(l, func() {
 			b.Run(levelNames[l], func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					Axpy4(y, 0.5, x[0:20], -0.25, x[20:40], 0.125, x[40:60], 1e-3, x[60:80])
+					axpy4(y, 0.5, x[0:20], -0.25, x[20:40], 0.125, x[40:60], 1e-3, x[60:80])
 				}
 			})
 		})

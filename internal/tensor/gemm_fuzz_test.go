@@ -37,8 +37,8 @@ func sameBits(got, want []float64) (int, bool) {
 }
 
 // FuzzGemmFloat is the differential harness of the float64 kernels: on
-// random shapes and values (exact zeros for the skip, ±0, ±Inf, NaN and
-// subnormals) every public GEMM and axpy kernel, on whichever path the
+// random shapes and values (exact zeros, ±0, ±Inf, NaN and subnormals)
+// every public GEMM kernel and both axpy primitives, on whichever path the
 // host dispatches to, must equal the per-element ascending-k reference bit
 // for bit, any two NaNs counting as equal. Every slice is sized exactly,
 // so a kernel that reads or writes past an operand trips a bounds check.
@@ -67,7 +67,7 @@ func FuzzGemmFloat(f *testing.F) {
 				t.Fatalf("%s m=%d n=%d k=%d element %d: %g vs reference %g", name, m, n, k, i, got[i], want[i])
 			}
 		}
-		run := func(name string, transA, transB, skip bool, kernel func(c, a, b []float64)) {
+		run := func(name string, transA, transB bool, kernel func(c, a, b []float64)) {
 			a := make([]float64, m*k)
 			b := make([]float64, k*n)
 			c := make([]float64, m*n)
@@ -75,15 +75,15 @@ func FuzzGemmFloat(f *testing.F) {
 			fill(b)
 			fill(c)
 			want := append([]float64(nil), c...)
-			refGemm(want, a, b, m, n, k, transA, transB, skip)
+			refGemm(want, a, b, m, n, k, transA, transB)
 			kernel(c, a, b)
 			check(name, c, want)
 		}
-		run("Gemm", false, false, true, func(c, a, b []float64) { Gemm(c, a, b, m, n, k) })
-		run("GemmNT", false, true, false, func(c, a, b []float64) { GemmNT(c, a, b, m, n, k) })
-		run("GemmTN", true, false, true, func(c, a, b []float64) { GemmTN(c, a, b, m, n, k, 0, m, nil) })
+		run("Gemm", false, false, func(c, a, b []float64) { Gemm(c, a, b, m, n, k) })
+		run("GemmNT", false, true, func(c, a, b []float64) { GemmNT(c, a, b, m, n, k) })
+		run("GemmTN", true, false, func(c, a, b []float64) { GemmTN(c, a, b, m, n, k, 0, m, nil) })
 		split := m / 2
-		run("GemmTN rows", true, false, true, func(c, a, b []float64) {
+		run("GemmTN rows", true, false, func(c, a, b []float64) {
 			GemmTN(c, a, b, m, n, k, 0, split, nil)
 			GemmTN(c, a, b, m, n, k, split, m, nil)
 		})
@@ -103,16 +103,14 @@ func FuzzGemmFloat(f *testing.F) {
 			want[i] = want[i] + sc[0]*xs[0][i] + sc[1]*xs[1][i] + sc[2]*xs[2][i] + sc[3]*xs[3][i]
 		}
 		got := append([]float64(nil), y...)
-		Axpy4(got, sc[0], xs[0], sc[1], xs[1], sc[2], xs[2], sc[3], xs[3])
-		check("Axpy4", got, want)
+		axpy4(got, sc[0], xs[0], sc[1], xs[1], sc[2], xs[2], sc[3], xs[3])
+		check("axpy4", got, want)
 		want = append(want[:0], y...)
-		if sc[0] != 0 {
-			for i := range want {
-				want[i] += sc[0] * xs[0][i]
-			}
+		for i := range want {
+			want[i] += sc[0] * xs[0][i]
 		}
 		got = append(got[:0], y...)
-		AxpySkipZero(got, sc[0], xs[0])
-		check("AxpySkipZero", got, want)
+		axpy(got, sc[0], xs[0])
+		check("axpy", got, want)
 	})
 }

@@ -44,7 +44,10 @@ func axpyGeneric(y []float64, a float64, x []float64) {
 	}
 }
 
-// axpy4Generic is Axpy4's scalar kernel; every x has len(y) elements.
+// axpy4Generic sets y[i] = y[i] + a0*x0[i] + a1*x1[i] + a2*x2[i] +
+// a3*x3[i], added left to right with every product rounded on its own:
+// four axpyGeneric calls in order, bit for bit, with each y element loaded
+// and stored once. Every x has len(y) elements.
 func axpy4Generic(y []float64, a0 float64, x0 []float64, a1 float64, x1 []float64,
 	a2 float64, x2 []float64, a3 float64, x3 []float64) {
 	n := len(y)

@@ -9,9 +9,8 @@ import (
 
 // refGemm is the per-element reference all three GEMM variants must match
 // bit for bit: one scalar accumulator per C element, starting from the
-// incoming C value, adding products in ascending k order, with an optional
-// zero-skip on the A operand (the per-sample kernels skip zero scales).
-func refGemm(c, a, b []float64, m, n, k int, transA, transB, skipZero bool) {
+// incoming C value, adding products in ascending k order.
+func refGemm(c, a, b []float64, m, n, k int, transA, transB bool) {
 	at := func(i, p int) float64 {
 		if transA {
 			return a[p*m+i]
@@ -28,19 +27,15 @@ func refGemm(c, a, b []float64, m, n, k int, transA, transB, skipZero bool) {
 		for j := 0; j < n; j++ {
 			acc := c[i*n+j]
 			for p := 0; p < k; p++ {
-				av := at(i, p)
-				if skipZero && av == 0 {
-					continue
-				}
-				acc += av * bt(p, j)
+				acc += at(i, p) * bt(p, j)
 			}
 			c[i*n+j] = acc
 		}
 	}
 }
 
-// fillRand fills s from src with ~20% exact zeros so the zero-skip branches
-// are exercised.
+// fillRand fills s from src with ~20% exact zeros, the sparsity of a ReLU
+// gradient.
 func fillRand(src *rng.Source, s []float64) {
 	for i := range s {
 		if src.Float64() < 0.2 {
@@ -79,7 +74,7 @@ func TestGemmMatchesOrderedReference(t *testing.T) {
 		fillRand(src, b)
 		fillRand(src, c)
 		want := append([]float64(nil), c...)
-		refGemm(want, a, b, s.m, s.n, s.k, false, false, true)
+		refGemm(want, a, b, s.m, s.n, s.k, false, false)
 		Gemm(c, a, b, s.m, s.n, s.k)
 		bitsEqual(t, "Gemm", c, want)
 	}
@@ -95,7 +90,7 @@ func TestGemmNTMatchesOrderedReference(t *testing.T) {
 		fillRand(src, b)
 		fillRand(src, c) // non-zero C checks the bias-prefill contract
 		want := append([]float64(nil), c...)
-		refGemm(want, a, b, s.m, s.n, s.k, false, true, false)
+		refGemm(want, a, b, s.m, s.n, s.k, false, true)
 		GemmNT(c, a, b, s.m, s.n, s.k)
 		bitsEqual(t, "GemmNT", c, want)
 	}
@@ -111,16 +106,16 @@ func TestGemmTNMatchesOrderedReference(t *testing.T) {
 		fillRand(src, b)
 		fillRand(src, c)
 		want := append([]float64(nil), c...)
-		refGemm(want, a, b, s.m, s.n, s.k, true, false, true)
+		refGemm(want, a, b, s.m, s.n, s.k, true, false)
 		GemmTN(c, a, b, s.m, s.n, s.k, 0, s.m, nil)
 		bitsEqual(t, "GemmTN", c, want)
 	}
 }
 
-// TestGemmTNRowsComposesGemmTN pins the sharding contract of GemmTN's row
+// TestGemmTNRangesCompose pins the sharding contract of GemmTN's row
 // range: any split of C's rows into ranges, each computed by its own call,
 // reproduces one call over every row bit for bit.
-func TestGemmTNRowsComposesGemmTN(t *testing.T) {
+func TestGemmTNRangesCompose(t *testing.T) {
 	src := rng.New(15)
 	for _, s := range gemmShapes {
 		a := make([]float64, s.k*s.m)
@@ -129,9 +124,6 @@ func TestGemmTNRowsComposesGemmTN(t *testing.T) {
 		fillRand(src, a)
 		fillRand(src, b)
 		fillRand(src, c)
-		for i := 0; i < len(a); i += 3 {
-			a[i] = 0 // exercise the zero skip inside a range
-		}
 		want := append([]float64(nil), c...)
 		GemmTN(want, a, b, s.m, s.n, s.k, 0, s.m, nil)
 		for _, parts := range []int{1, 2, 3, 7} {
@@ -148,22 +140,6 @@ func TestGemmTNRowsComposesGemmTN(t *testing.T) {
 		}
 	}()
 	GemmTN(make([]float64, 4), make([]float64, 4), make([]float64, 4), 2, 2, 2, 1, 3, nil)
-}
-
-func TestMatMulToMatchesMatMul(t *testing.T) {
-	src := rng.New(14)
-	a := New(9, 17)
-	b := New(17, 5)
-	fillRand(src, a.Data)
-	fillRand(src, b.Data)
-	want := MatMul(a, b)
-	dst := New(9, 5)
-	dst.Fill(3.5) // MatMulTo must overwrite, not accumulate
-	got := MatMulTo(dst, a, b)
-	if got != dst {
-		t.Fatalf("MatMulTo did not return its destination")
-	}
-	bitsEqual(t, "MatMulTo", got.Data, want.Data)
 }
 
 func TestGemmZeroDims(t *testing.T) {
@@ -251,11 +227,11 @@ func TestCol2ImAdjoint(t *testing.T) {
 
 	cols := make([]float64, outLen*fanIn)
 	Im2Col(cols, x, inLen, inCh, kernel, stride, outLen)
-	lhs := Dot(u, cols)
+	lhs := dot(u, cols)
 
 	back := make([]float64, inLen*inCh)
 	Col2Im(back, u, inLen, inCh, kernel, stride, outLen)
-	rhs := Dot(back, x)
+	rhs := dot(back, x)
 
 	if math.Abs(lhs-rhs) > 1e-12*(1+math.Abs(lhs)) {
 		t.Fatalf("adjoint identity violated: %g vs %g", lhs, rhs)

@@ -9,7 +9,7 @@ import (
 
 // refGemmTN is GemmTN's per-element reference: one accumulator per C
 // element of rows [i0, i1), starting from its C value and adding
-// A[r][i]·B[r][j] for the rows r in order, skipping zero scales.
+// A[r][i]·B[r][j] for the rows r in order.
 func refGemmTN(c, a, b []float64, m, n, k, i0, i1 int, order []int) {
 	for i := i0; i < i1; i++ {
 		for j := 0; j < n; j++ {
@@ -19,9 +19,7 @@ func refGemmTN(c, a, b []float64, m, n, k, i0, i1 int, order []int) {
 				if order != nil {
 					r = order[p]
 				}
-				if av := a[r*m+i]; av != 0 {
-					acc += av * b[r*n+j]
-				}
+				acc += a[r*m+i] * b[r*n+j]
 			}
 			c[i*n+j] = acc
 		}
@@ -138,38 +136,50 @@ func TestGemmTNLevels(t *testing.T) {
 	})
 }
 
-// TestGemmTNZeroScaleKeepsNegativeZero pins the exact zero skip: a ±0
-// scale leaves its accumulator untouched, so a C element holding -0 stays
-// -0 (adding the +0 product would make it +0) and a zero scale against an
-// infinite B element adds no NaN (0·Inf), while a NaN scale is added.
-func TestGemmTNZeroScaleKeepsNegativeZero(t *testing.T) {
+// TestGemmZeroScaleAddsNaN pins the zero-scale contract of the gradient
+// kernels at every dispatch level: with every scale ±0, one ±Inf or NaN
+// in B turns its whole C column NaN (0·Inf and 0·NaN are added, not
+// skipped), and every other C element keeps its value. Every B element is
+// poisoned in turn, so the poison sits in four-row k groups and in k
+// tails, and in 16-column strips and their tails; m of 1, 4, 7 and 9 runs
+// the AVX-512 tile's 4-row and 1-row variants.
+func TestGemmZeroScaleAddsNaN(t *testing.T) {
 	forEachLevel(t, func(t *testing.T) {
 		negZero := math.Copysign(0, -1)
-		for _, s := range []struct{ m, n, k int }{{4, 16, 3}, {7, 21, 5}, {1, 3, 2}, {9, 33, 4}} {
-			a, b, c := make([]float64, s.k*s.m), make([]float64, s.k*s.n), make([]float64, s.m*s.n)
-			for i := range a {
+		for _, s := range []struct{ m, n, k int }{{4, 16, 4}, {7, 21, 5}, {1, 3, 2}, {9, 33, 6}} {
+			scales := make([]float64, s.m*s.k) // A of Gemm (m x k) and of GemmTN (k x m)
+			for i := range scales {
 				if i%2 == 1 {
-					a[i] = negZero
+					scales[i] = negZero
 				}
 			}
-			for i := range b {
-				b[i] = 1.5 + float64(i%5)
-			}
-			b[len(b)-1] = math.Inf(1)
-			for i := range c {
-				c[i] = negZero
-			}
-			GemmTN(c, a, b, s.m, s.n, s.k, 0, s.m, nil)
-			for i, v := range c {
-				if math.Float64bits(v) != math.Float64bits(negZero) {
-					t.Fatalf("%+v element %d: %g after zero scales, want -0", s, i, v)
-				}
-			}
-			a[0] = math.NaN()
-			GemmTN(c, a, b, s.m, s.n, s.k, 0, s.m, nil)
-			for j := 0; j < s.n; j++ {
-				if !math.IsNaN(c[j]) {
-					t.Fatalf("%+v column %d: %g after a NaN scale, want NaN", s, j, c[j])
+			for _, poison := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+				for r := 0; r < s.k; r++ {
+					for j := 0; j < s.n; j++ {
+						b := make([]float64, s.k*s.n)
+						for i := range b {
+							b[i] = 1.5 + float64(i%5)
+						}
+						b[r*s.n+j] = poison
+						for _, kernel := range []struct {
+							name string
+							run  func(c []float64)
+						}{
+							{"Gemm", func(c []float64) { Gemm(c, scales, b, s.m, s.n, s.k) }},
+							{"GemmTN", func(c []float64) { GemmTN(c, scales, b, s.m, s.n, s.k, 0, s.m, nil) }},
+						} {
+							c := make([]float64, s.m*s.n)
+							for i := range c {
+								c[i] = -0.75
+							}
+							kernel.run(c)
+							for i, v := range c {
+								if nan := i%s.n == j; math.IsNaN(v) != nan || !nan && v != -0.75 {
+									t.Fatalf("%s %+v B[%d][%d] = %g: C element %d = %g", kernel.name, s, r, j, poison, i, v)
+								}
+							}
+						}
+					}
 				}
 			}
 		}

@@ -1,217 +1,9 @@
 // Package tensor implements the small dense linear-algebra substrate used
-// by the neural-network framework: row-major float64 tensors with shape
-// metadata plus the handful of BLAS-like kernels (matrix-vector products,
-// outer-product accumulation, elementwise maps) that forward and backward
-// passes require. It deliberately avoids reflection and interface-based
-// dispatch; all hot loops operate on flat []float64.
+// by the neural-network framework: BLAS-like kernels over flat row-major
+// []float64 (the batched GEMMs, the im2col lowering, the Adam update and
+// the per-sample matrix-vector products) plus the int8 inference kernels.
+// It deliberately avoids reflection and interface-based dispatch.
 package tensor
-
-import (
-	"fmt"
-	"math"
-)
-
-// Tensor is a dense row-major tensor. The zero value is an empty tensor.
-type Tensor struct {
-	Shape []int
-	Data  []float64
-}
-
-// New returns a zero-filled tensor with the given shape.
-func New(shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, shape))
-		}
-		n *= d
-	}
-	s := make([]int, len(shape))
-	copy(s, shape)
-	return &Tensor{Shape: s, Data: make([]float64, n)}
-}
-
-// FromVec wraps data (not copied) as a 1-D tensor.
-func FromVec(data []float64) *Tensor {
-	return &Tensor{Shape: []int{len(data)}, Data: data}
-}
-
-// FromMat copies a [][]float64 into a 2-D tensor. All rows must have equal
-// length.
-func FromMat(rows [][]float64) *Tensor {
-	if len(rows) == 0 {
-		return New(0, 0)
-	}
-	c := len(rows[0])
-	t := New(len(rows), c)
-	for i, r := range rows {
-		if len(r) != c {
-			panic(fmt.Sprintf("tensor: ragged rows (%d vs %d)", len(r), c))
-		}
-		copy(t.Data[i*c:(i+1)*c], r)
-	}
-	return t
-}
-
-// Len returns the number of elements.
-func (t *Tensor) Len() int { return len(t.Data) }
-
-// Dims returns the size of dimension i.
-func (t *Tensor) Dims(i int) int { return t.Shape[i] }
-
-// Rank returns the number of dimensions.
-func (t *Tensor) Rank() int { return len(t.Shape) }
-
-// At returns the element at the given multi-index.
-func (t *Tensor) At(idx ...int) float64 {
-	return t.Data[t.offset(idx)]
-}
-
-// Set assigns the element at the given multi-index.
-func (t *Tensor) Set(v float64, idx ...int) {
-	t.Data[t.offset(idx)] = v
-}
-
-func (t *Tensor) offset(idx []int) int {
-	if len(idx) != len(t.Shape) {
-		panic(fmt.Sprintf("tensor: index rank %d does not match shape %v", len(idx), t.Shape))
-	}
-	off := 0
-	for i, x := range idx {
-		if x < 0 || x >= t.Shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of bounds for shape %v", idx, t.Shape))
-		}
-		off = off*t.Shape[i] + x
-	}
-	return off
-}
-
-// Clone returns a deep copy.
-func (t *Tensor) Clone() *Tensor {
-	c := New(t.Shape...)
-	copy(c.Data, t.Data)
-	return c
-}
-
-// Reshape returns a view with a new shape sharing the same backing data.
-// The element count must be preserved.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	if n != len(t.Data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v (%d elems)",
-			t.Shape, len(t.Data), shape, n))
-	}
-	s := make([]int, len(shape))
-	copy(s, shape)
-	return &Tensor{Shape: s, Data: t.Data}
-}
-
-// Fill sets every element to v.
-func (t *Tensor) Fill(v float64) {
-	for i := range t.Data {
-		t.Data[i] = v
-	}
-}
-
-// Zero sets every element to 0.
-func (t *Tensor) Zero() { t.Fill(0) }
-
-// Scale multiplies every element by a.
-func (t *Tensor) Scale(a float64) {
-	for i := range t.Data {
-		t.Data[i] *= a
-	}
-}
-
-// AddScaled adds a*other to t elementwise (axpy).
-func (t *Tensor) AddScaled(a float64, other *Tensor) {
-	if len(other.Data) != len(t.Data) {
-		panic("tensor: AddScaled size mismatch")
-	}
-	for i, v := range other.Data {
-		t.Data[i] += a * v
-	}
-}
-
-// Apply replaces every element x by f(x).
-func (t *Tensor) Apply(f func(float64) float64) {
-	for i, v := range t.Data {
-		t.Data[i] = f(v)
-	}
-}
-
-// Sum returns the sum of all elements.
-func (t *Tensor) Sum() float64 {
-	s := 0.0
-	for _, v := range t.Data {
-		s += v
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of all elements (0 for empty tensors).
-func (t *Tensor) Mean() float64 {
-	if len(t.Data) == 0 {
-		return 0
-	}
-	return t.Sum() / float64(len(t.Data))
-}
-
-// MaxAbs returns the largest absolute element value (0 for empty tensors).
-func (t *Tensor) MaxAbs() float64 {
-	m := 0.0
-	for _, v := range t.Data {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// ArgMax returns the index of the largest element of a 1-D tensor.
-func (t *Tensor) ArgMax() int {
-	best, bestV := -1, math.Inf(-1)
-	for i, v := range t.Data {
-		if v > bestV {
-			best, bestV = i, v
-		}
-	}
-	return best
-}
-
-// EqualApprox reports whether two tensors have identical shape and
-// elementwise differences no larger than tol.
-func (t *Tensor) EqualApprox(o *Tensor, tol float64) bool {
-	if len(t.Shape) != len(o.Shape) {
-		return false
-	}
-	for i := range t.Shape {
-		if t.Shape[i] != o.Shape[i] {
-			return false
-		}
-	}
-	for i := range t.Data {
-		if math.Abs(t.Data[i]-o.Data[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
-// Dot returns the inner product of two equal-length vectors.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("tensor: Dot length mismatch")
-	}
-	s := 0.0
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
-}
 
 // MatVec computes out = W*x where W is (rows x cols) row-major. out must
 // have length rows and x length cols. out is overwritten.
@@ -229,21 +21,6 @@ func MatVec(out, w, x []float64, rows, cols int) {
 	}
 }
 
-// MatVecAdd computes out += W*x (same contract as MatVec).
-func MatVecAdd(out, w, x []float64, rows, cols int) {
-	if len(w) != rows*cols || len(x) != cols || len(out) != rows {
-		panic("tensor: MatVecAdd dimension mismatch")
-	}
-	for r := 0; r < rows; r++ {
-		row := w[r*cols : (r+1)*cols]
-		s := 0.0
-		for c, v := range row {
-			s += v * x[c]
-		}
-		out[r] += s
-	}
-}
-
 // MatTVec computes out = Wᵀ*y where W is (rows x cols) row-major and y has
 // length rows; out (length cols) is overwritten. This is the input-gradient
 // kernel of a dense layer.
@@ -256,9 +33,6 @@ func MatTVec(out, w, y []float64, rows, cols int) {
 	}
 	for r := 0; r < rows; r++ {
 		yr := y[r]
-		if yr == 0 {
-			continue
-		}
 		row := w[r*cols : (r+1)*cols]
 		for c, v := range row {
 			out[c] += v * yr
@@ -275,23 +49,9 @@ func OuterAccum(grad, y, x []float64, rows, cols int) {
 	}
 	for r := 0; r < rows; r++ {
 		yr := y[r]
-		if yr == 0 {
-			continue
-		}
 		g := grad[r*cols : (r+1)*cols]
 		for c, v := range x {
 			g[c] += yr * v
 		}
 	}
-}
-
-// MatMul computes C = A*B for row-major matrices A (m x k) and B (k x n),
-// returning a new (m x n) tensor. It allocates the result; hot paths that
-// can reuse a destination should call MatMulTo (or Gemm on raw slices)
-// instead.
-func MatMul(a, b *Tensor) *Tensor {
-	if a.Rank() != 2 || b.Rank() != 2 || a.Shape[1] != b.Shape[0] {
-		panic(fmt.Sprintf("tensor: MatMul shape mismatch %v x %v", a.Shape, b.Shape))
-	}
-	return MatMulTo(New(a.Shape[0], b.Shape[1]), a, b)
 }
