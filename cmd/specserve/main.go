@@ -1,7 +1,7 @@
 // Command specserve runs the batched concurrent inference server: it loads
 // nn.Save-serialized networks from a model directory and serves
 // /v1/predict, /v1/monitor sessions with alarm limits, /v1/models hot
-// reload and /v1/stats over HTTP/JSON, with all forward passes coalesced
+// reload and Prometheus /metrics over HTTP, with all forward passes coalesced
 // by a per-model continuous-batching dispatcher: a request waits only for
 // its model's forward pass in flight, never for a timer.
 //
@@ -46,7 +46,6 @@ func main() {
 		models    = flag.String("models", "", "directory of *.json model files (nn.Save format)")
 		maxBatch  = flag.Int("max-batch", 32, "max requests coalesced into one forward pass")
 		workers   = flag.Int("workers", 0, "forward-pass worker count (0 = all cores); results are identical for any value")
-		quantize  = flag.Bool("quantize", false, "serve int8-quantized engines (faster forward passes, bounded accuracy drift; responses carry X-Specml-Precision)")
 		timeout   = flag.Duration("timeout", 10*time.Second, "per-request dispatcher timeout")
 		maxSess   = flag.Int("max-sessions", 256, "max live monitor sessions (-1 = unlimited)")
 		sessIdle  = flag.Duration("session-idle-timeout", 30*time.Minute, "expire monitor sessions idle this long (-1s = never)")
@@ -80,7 +79,6 @@ func main() {
 	srv, err := serve.New(serve.Config{
 		MaxBatch:           *maxBatch,
 		Workers:            *workers,
-		Quantize:           *quantize,
 		RequestTimeout:     *timeout,
 		ModelDir:           *models,
 		MaxSessions:        *maxSess,
@@ -92,7 +90,7 @@ func main() {
 	}
 	for _, m := range srv.Registry().List() {
 		logger.Info("loaded model", "model", m.Name, "in", m.InputLen, "out", m.OutputLen,
-			"params", m.Params, "precision", m.Precision)
+			"params", m.Params)
 	}
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 

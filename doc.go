@@ -28,15 +28,16 @@
 // inference service: /v1/predict (one spectrum to substance fractions),
 // /v1/monitor (stateful core.Monitor sessions with alarm bands),
 // /v1/models (registry with hot reload from a model directory) and
-// /v1/stats (batch-size histogram, p50/p99 latency). Every forward pass
-// is routed through a per-model continuous-batching dispatcher: it flushes
-// as soon as it is free, and the requests that queued while the previous
-// forward pass ran (up to a max batch of 32) leave together in one
-// PredictBatch call. No timer holds a batch open. Since PredictBatch is
-// bit-identical to sequential Predict, batching never changes a response. Shutdown drains
-// in-flight batches. Golden-file tests pin the on-disk model formats and
-// fuzz harnesses keep the request decoder and spectrum preprocessing
-// panic-free on hostile input.
+// /metrics (Prometheus batch-size and per-stage latency histograms). Every
+// forward pass is routed through a per-model continuous-batching
+// dispatcher: it flushes as soon as it is free, and the requests that
+// queued while the previous forward pass ran (up to a max batch of 32)
+// leave together in one PredictBatch call. No timer holds a batch open.
+// Since PredictBatch is bit-identical to sequential Predict, batching
+// never changes a response. Shutdown drains in-flight batches.
+// Golden-file tests pin the on-disk model formats and fuzz harnesses keep
+// the request decoder and spectrum preprocessing panic-free on hostile
+// input.
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
 // EXPERIMENTS.md for paper-vs-measured results. The root package contains

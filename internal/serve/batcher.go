@@ -45,7 +45,6 @@ type response struct {
 type Batcher struct {
 	maxBatch int
 	run      func([][]float64) ([][]float64, error)
-	stats    *Stats
 	model    string        // pprof/metrics label; empty for bare batchers
 	mx       *serveMetrics // nil disables obs recording
 	logger   *slog.Logger
@@ -62,19 +61,12 @@ type Batcher struct {
 	xsBuf    [][]float64
 }
 
-// NewBatcher starts the dispatcher goroutine. maxBatch <= 0 defaults to 32.
-// stats may be nil.
-func NewBatcher(maxBatch int, stats *Stats,
-	run func([][]float64) ([][]float64, error)) *Batcher {
-	return newBatcher(maxBatch, stats, run, "", nil, nil)
-}
-
-// newBatcher is NewBatcher plus the observability wiring: a model label
-// for pprof/metrics attribution, the server's obs instruments and a
-// structured logger. Everything is installed before the dispatcher
-// goroutine starts, so no field needs locking.
-func newBatcher(maxBatch int, stats *Stats,
-	run func([][]float64) ([][]float64, error),
+// newBatcher starts the dispatcher goroutine; maxBatch <= 0 defaults to
+// 32. model labels the dispatcher for pprof/metrics attribution (empty for
+// bare batchers), mx receives its obs instruments (nil disables recording)
+// and logger its flush failures. Everything is installed before the
+// dispatcher goroutine starts, so no field needs locking.
+func newBatcher(maxBatch int, run func([][]float64) ([][]float64, error),
 	model string, mx *serveMetrics, logger *slog.Logger) *Batcher {
 	if maxBatch <= 0 {
 		maxBatch = 32
@@ -85,7 +77,6 @@ func newBatcher(maxBatch int, stats *Stats,
 	b := &Batcher{
 		maxBatch: maxBatch,
 		run:      run,
-		stats:    stats,
 		model:    model,
 		mx:       mx,
 		logger:   logger,
@@ -209,9 +200,6 @@ func (b *Batcher) flush(batch []*request) {
 	}
 	if err != nil {
 		b.logger.Error("batch flush failed", "model", b.model, "batch", len(batch), "err", err)
-	}
-	if b.stats != nil {
-		b.stats.RecordBatch(len(batch))
 	}
 	for i, r := range batch {
 		if err != nil {

@@ -74,9 +74,8 @@ func BenchmarkServePredict(b *testing.B) {
 	if n := failed.Load(); n > 0 {
 		b.Fatalf("%d requests failed", n)
 	}
-	snap := srv.Stats().SnapshotNow()
-	if snap.Batches > 0 {
-		b.ReportMetric(float64(snap.BatchedInputs)/float64(snap.Batches), "samples/batch")
+	if sizes := batchSizes(srv); sizes.Count() > 0 {
+		b.ReportMetric(sizes.Sum()/float64(sizes.Count()), "samples/batch")
 	}
 }
 
@@ -84,9 +83,9 @@ func BenchmarkServePredict(b *testing.B) {
 // HTTP/JSON overhead: the marginal cost of one batched inference.
 func BenchmarkBatcherPredict(b *testing.B) {
 	m := benchModel(b)
-	batcher := NewBatcher(32, nil, func(xs [][]float64) ([][]float64, error) {
+	batcher := newBatcher(32, func(xs [][]float64) ([][]float64, error) {
 		return m.PredictBatch(xs, 0)
-	})
+	}, "", nil, nil)
 	defer batcher.Close()
 	x, err := preprocessInput(ramp(199, 1), nil, "", m.InputLen())
 	if err != nil {
@@ -141,9 +140,9 @@ func benchMonitorModel(b *testing.B) *nn.Model {
 // GEMM LSTM kernels instead of falling back to one Forward per request.
 func BenchmarkBatcherPredictMonitor(b *testing.B) {
 	m := benchMonitorModel(b)
-	batcher := NewBatcher(32, nil, func(xs [][]float64) ([][]float64, error) {
+	batcher := newBatcher(32, func(xs [][]float64) ([][]float64, error) {
 		return m.PredictBatch(xs, 0)
-	})
+	}, "", nil, nil)
 	defer batcher.Close()
 	x, err := preprocessInput(ramp(5*1700, 1), nil, "", m.InputLen())
 	if err != nil {

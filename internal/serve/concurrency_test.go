@@ -105,12 +105,12 @@ func TestConcurrentPredictBitIdentical(t *testing.T) {
 		}
 	}
 
-	snap := srv.Stats().SnapshotNow()
-	if snap.BatchedInputs != n {
-		t.Fatalf("stats saw %d batched inputs, want %d", snap.BatchedInputs, n)
+	sizes := batchSizes(srv)
+	if sizes.Sum() != n {
+		t.Fatalf("batch-size histogram saw %g batched inputs, want %d", sizes.Sum(), n)
 	}
-	if snap.Batches < 1 || snap.Batches > n {
-		t.Fatalf("implausible batch count %d for %d requests", snap.Batches, n)
+	if c := sizes.Count(); c < 1 || c > n {
+		t.Fatalf("implausible batch count %d for %d requests", c, n)
 	}
 }
 
@@ -125,7 +125,7 @@ func TestBatcherCoalesces(t *testing.T) {
 		entered = make(chan struct{})
 		release = make(chan struct{})
 	)
-	b := NewBatcher(maxBatch, nil, func(xs [][]float64) ([][]float64, error) {
+	b := newBatcher(maxBatch, func(xs [][]float64) ([][]float64, error) {
 		mu.Lock()
 		sizes = append(sizes, len(xs))
 		first := len(sizes) == 1
@@ -139,7 +139,7 @@ func TestBatcherCoalesces(t *testing.T) {
 			ys[i] = []float64{x[0] * 2}
 		}
 		return ys, nil
-	})
+	}, "", nil, nil)
 	defer b.Close()
 	var releaseOnce sync.Once
 	open := func() { releaseOnce.Do(func() { close(release) }) }
@@ -212,14 +212,14 @@ func TestBatcherFlushAllocFree(t *testing.T) {
 // every Predict that was admitted before Close must receive its result.
 func TestBatcherShutdownDrains(t *testing.T) {
 	const n = 24
-	b := NewBatcher(4, nil, func(xs [][]float64) ([][]float64, error) {
+	b := newBatcher(4, func(xs [][]float64) ([][]float64, error) {
 		time.Sleep(10 * time.Millisecond) // make batches slow enough to pile up
 		ys := make([][]float64, len(xs))
 		for i, x := range xs {
 			ys[i] = []float64{x[0] + 1}
 		}
 		return ys, nil
-	})
+	}, "", nil, nil)
 
 	var (
 		wg       sync.WaitGroup
@@ -276,10 +276,10 @@ func TestBatcherShutdownDrains(t *testing.T) {
 // busy.
 func TestBatcherContextTimeout(t *testing.T) {
 	block := make(chan struct{})
-	b := NewBatcher(1, nil, func(xs [][]float64) ([][]float64, error) {
+	b := newBatcher(1, func(xs [][]float64) ([][]float64, error) {
 		<-block
 		return xs, nil
-	})
+	}, "", nil, nil)
 	defer func() {
 		close(block)
 		b.Close()

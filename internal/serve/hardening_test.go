@@ -87,12 +87,12 @@ func TestReloadWidthMismatchEndToEnd(t *testing.T) {
 // batch with an error instead of killing the dispatcher goroutine (and
 // with it the process).
 func TestBatcherRecoversFromPanic(t *testing.T) {
-	b := NewBatcher(1, nil, func(xs [][]float64) ([][]float64, error) {
+	b := newBatcher(1, func(xs [][]float64) ([][]float64, error) {
 		if xs[0][0] == 13 {
 			panic("poisoned forward pass")
 		}
 		return xs, nil
-	})
+	}, "", nil, nil)
 	defer b.Close()
 	ctx, cancel := testContext(t, 30*time.Second)
 	defer cancel()
@@ -162,9 +162,9 @@ func TestMonitorSessionIdleExpiry(t *testing.T) {
 	}
 }
 
-// TestCanceledRequestNotAServerError pins the stats semantics of a client
-// that hangs up mid-request: the response status is 499 and the /v1/stats
-// error count stays untouched.
+// TestCanceledRequestNotAServerError pins the metrics semantics of a
+// client that hangs up mid-request: the response status is 499, the
+// request is counted, and the endpoint's error counter stays untouched.
 func TestCanceledRequestNotAServerError(t *testing.T) {
 	// A forward pass in flight keeps the dispatcher busy, so the canceled
 	// context is what resolves the request.
@@ -188,12 +188,11 @@ func TestCanceledRequestNotAServerError(t *testing.T) {
 	if rec.Code != statusClientClosedRequest {
 		t.Fatalf("canceled request: status %d, want %d", rec.Code, statusClientClosedRequest)
 	}
-	snap := srv.Stats().SnapshotNow()
-	if snap.Requests["predict"] != 1 {
-		t.Fatalf("request count %d, want 1", snap.Requests["predict"])
+	if n := endpointCount(srv, "specserve_http_requests_total", "predict"); n != 1 {
+		t.Fatalf("request count %d, want 1", n)
 	}
-	if snap.Errors["predict"] != 0 {
-		t.Fatalf("client-initiated abort counted as server error: %d", snap.Errors["predict"])
+	if n := endpointCount(srv, "specserve_http_errors_total", "predict"); n != 0 {
+		t.Fatalf("client-initiated abort counted as server error: %d", n)
 	}
 }
 

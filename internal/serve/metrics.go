@@ -19,9 +19,6 @@ const (
 
 	codecJSON   = "json"
 	codecBinary = "binary"
-
-	precisionFP64 = "fp64"
-	precisionInt8 = "int8"
 )
 
 // serveMetrics bundles one Server's obs instruments. Every field is
@@ -32,18 +29,12 @@ type serveMetrics struct {
 	reg *obs.Registry
 
 	// stage[...] are per-stage latency histograms sharing one family; the
-	// serialization stages are split by codec and the forward stage by
-	// numeric precision (fp64 vs the opt-in int8 engine).
+	// serialization stages are split by codec.
 	stDecodeJSON, stDecodeBinary *obs.Histogram
 	stPreprocess                 *obs.Histogram
 	stBatchWait                  *obs.Histogram
-	stForwardFP64, stForwardInt8 *obs.Histogram
+	stForward                    *obs.Histogram
 	stEncodeJSON, stEncodeBinary *obs.Histogram
-
-	// stForward aliases the forward-stage series of the engine this server
-	// actually runs (precision is a server-wide choice), so the batcher's
-	// hot path records with one pointer dereference and no branching.
-	stForward *obs.Histogram
 
 	// batchSize is the coalesced-batch-size distribution of all batchers.
 	batchSize *obs.Histogram
@@ -55,11 +46,8 @@ type serveMetrics struct {
 	publishesOK, publishesFailed *obs.Counter
 }
 
-// newServeMetrics registers every instrument; quantized selects which
-// precision's forward-stage series the hot path records into. Both series
-// are registered either way, so dashboards see a stable family shape and
-// a zero series for the engine that is not running.
-func newServeMetrics(reg *obs.Registry, quantized bool) *serveMetrics {
+// newServeMetrics registers every instrument.
+func newServeMetrics(reg *obs.Registry) *serveMetrics {
 	stage := func(name string) *obs.Histogram {
 		return reg.Histogram("specserve_stage_seconds",
 			"Per-stage request latency of the predict pipeline.",
@@ -70,19 +58,13 @@ func newServeMetrics(reg *obs.Registry, quantized bool) *serveMetrics {
 			"Per-stage request latency of the predict pipeline.",
 			obs.LatencyBuckets, obs.L("stage", name), obs.L("codec", codec))
 	}
-	precStage := func(name, precision string) *obs.Histogram {
-		return reg.Histogram("specserve_stage_seconds",
-			"Per-stage request latency of the predict pipeline.",
-			obs.LatencyBuckets, obs.L("stage", name), obs.L("precision", precision))
-	}
-	m := &serveMetrics{
+	return &serveMetrics{
 		reg:            reg,
 		stDecodeJSON:   codecStage(stageDecode, codecJSON),
 		stDecodeBinary: codecStage(stageDecode, codecBinary),
 		stPreprocess:   stage(stagePreprocess),
 		stBatchWait:    stage(stageBatchWait),
-		stForwardFP64:  precStage(stageForward, precisionFP64),
-		stForwardInt8:  precStage(stageForward, precisionInt8),
+		stForward:      stage(stageForward),
 		stEncodeJSON:   codecStage(stageEncode, codecJSON),
 		stEncodeBinary: codecStage(stageEncode, codecBinary),
 		batchSize: reg.Histogram("specserve_batch_size",
@@ -96,11 +78,6 @@ func newServeMetrics(reg *obs.Registry, quantized bool) *serveMetrics {
 		publishesFailed: reg.Counter("specserve_publishes_total",
 			"Model publishes by outcome.", obs.L("result", "error")),
 	}
-	m.stForward = m.stForwardFP64
-	if quantized {
-		m.stForward = m.stForwardInt8
-	}
-	return m
 }
 
 // endpointCounters returns the request/error counters of one HTTP

@@ -11,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"specml/internal/obs"
 )
 
 // scrape fetches GET /metrics and returns the exposition body.
@@ -63,8 +65,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`specserve_stage_seconds_bucket{codec="binary",stage="decode",le="+Inf"}`,
 		`specserve_stage_seconds_bucket{stage="preprocess",le="+Inf"}`,
 		`specserve_stage_seconds_bucket{stage="batch_wait",le="+Inf"}`,
-		`specserve_stage_seconds_bucket{precision="fp64",stage="forward",le="+Inf"}`,
-		`specserve_stage_seconds_bucket{precision="int8",stage="forward",le="+Inf"}`,
+		`specserve_stage_seconds_bucket{stage="forward",le="+Inf"}`,
 		`specserve_stage_seconds_bucket{codec="json",stage="encode",le="+Inf"}`,
 		`specserve_stage_seconds_bucket{codec="binary",stage="encode",le="+Inf"}`,
 		"# TYPE specserve_stage_seconds histogram",
@@ -86,7 +87,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	// The three successful predictions must be visible in the forward-stage
 	// count and the batch-size histogram (batches <= requests).
 	var forwardCount int
-	fmt.Sscanf(line(t, out, `specserve_stage_seconds_count{precision="fp64",stage="forward"}`), "%d", &forwardCount)
+	fmt.Sscanf(line(t, out, `specserve_stage_seconds_count{stage="forward"}`), "%d", &forwardCount)
 	if forwardCount < 1 || forwardCount > 3 {
 		t.Fatalf("forward stage count %d, want 1..3 batches for 3 requests", forwardCount)
 	}
@@ -95,6 +96,21 @@ func TestMetricsEndpoint(t *testing.T) {
 	if batchSum != 3 {
 		t.Fatalf("batch_size sum %g, want 3 (every request in exactly one batch)", batchSum)
 	}
+	if strings.Contains(out, "precision=") {
+		t.Fatalf("exposition still carries a precision label:\n%s", out)
+	}
+}
+
+// batchSizes returns the server's specserve_batch_size histogram: the
+// registry hands back the child the server registered.
+func batchSizes(s *Server) *obs.Histogram {
+	return s.Metrics().Histogram("specserve_batch_size", "", obs.SizeBuckets)
+}
+
+// endpointCount reads one endpoint's specserve_http_requests_total or
+// specserve_http_errors_total counter.
+func endpointCount(s *Server, family, endpoint string) uint64 {
+	return s.Metrics().Counter(family, "", obs.L("endpoint", endpoint)).Value()
 }
 
 // line extracts the sample value text following a series name prefix.

@@ -41,7 +41,6 @@ type ModelInfo struct {
 	InputLen  int       `json:"inputLen"`
 	OutputLen int       `json:"outputLen"`
 	Params    int       `json:"params"`
-	Precision string    `json:"precision"`        // "fp64" or "int8"
 	Source    string    `json:"source,omitempty"` // file path, empty for programmatic models
 	LoadedAt  time.Time `json:"loadedAt"`
 }
@@ -55,7 +54,6 @@ type modelEntry struct {
 	source   string
 	mu       sync.RWMutex
 	model    *nn.Model
-	quant    *nn.QuantizedModel // non-nil iff the registry runs int8 engines
 	loadedAt time.Time
 	batcher  *Batcher
 
@@ -71,32 +69,11 @@ func (e *modelEntry) current() *nn.Model {
 	return e.model
 }
 
-// snapshot returns the float model and its optional int8 engine as one
-// consistent pair — a reload never leaves a flush running old weights
-// through a new engine or vice versa.
-func (e *modelEntry) snapshot() (*nn.Model, *nn.QuantizedModel) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.model, e.quant
-}
-
-// precision reports which numeric engine answers this entry's requests.
-func (e *modelEntry) precision() string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.quant != nil {
-		return precisionInt8
-	}
-	return precisionFP64
-}
-
-// swap installs a freshly loaded model together with its int8 engine
-// (nil when the registry serves float), atomically from the batcher's
+// swap installs a freshly loaded model, atomically from the batcher's
 // point of view.
-func (e *modelEntry) swap(m *nn.Model, q *nn.QuantizedModel) {
+func (e *modelEntry) swap(m *nn.Model) {
 	e.mu.Lock()
 	e.model = m
-	e.quant = q
 	e.loadedAt = time.Now()
 	e.mu.Unlock()
 }
@@ -109,8 +86,6 @@ func (e *modelEntry) swap(m *nn.Model, q *nn.QuantizedModel) {
 type Registry struct {
 	workers  int
 	maxBatch int
-	quantize bool // serve int8 engines instead of float forward passes
-	stats    *Stats
 	mx       *serveMetrics // nil disables obs recording
 	logger   *slog.Logger
 
@@ -120,56 +95,36 @@ type Registry struct {
 }
 
 // newRegistry wires batching parameters shared by every model's batcher.
-func newRegistry(maxBatch, workers int, quantize bool,
-	stats *Stats, mx *serveMetrics, logger *slog.Logger) *Registry {
+func newRegistry(maxBatch, workers int, mx *serveMetrics, logger *slog.Logger) *Registry {
 	if logger == nil {
 		logger = obs.NopLogger()
 	}
 	return &Registry{
 		workers:  workers,
 		maxBatch: maxBatch,
-		quantize: quantize,
-		stats:    stats,
 		mx:       mx,
 		logger:   logger,
 		entries:  make(map[string]*modelEntry),
 	}
 }
 
-// quantized builds the int8 engine of a model about to be installed, or
-// nil when the registry serves float. It runs before any entry mutation,
-// so a quantization failure aborts with nothing partially swapped.
-func (r *Registry) quantized(name string, m *nn.Model) (*nn.QuantizedModel, error) {
-	if !r.quantize {
-		return nil, nil
-	}
-	q, err := nn.Quantize(m)
-	if err != nil {
-		return nil, fmt.Errorf("serve: quantizing model %q: %w", name, err)
-	}
-	return q, nil
-}
-
 // newEntry creates an entry plus its batcher; the batcher snapshots the
 // entry's current model per flush so reloads take effect immediately.
-func (r *Registry) newEntry(name, source string, m *nn.Model, q *nn.QuantizedModel) *modelEntry {
-	e := &modelEntry{name: name, source: source, model: m, quant: q, loadedAt: time.Now()}
-	e.batcher = newBatcher(r.maxBatch, r.stats, func(xs [][]float64) ([][]float64, error) {
+func (r *Registry) newEntry(name, source string, m *nn.Model) *modelEntry {
+	e := &modelEntry{name: name, source: source, model: m, loadedAt: time.Now()}
+	e.batcher = newBatcher(r.maxBatch, func(xs [][]float64) ([][]float64, error) {
 		// One snapshot per flush: every row is validated against the exact
 		// model that will run the batch. Requests are preprocessed to the
 		// width current at enqueue time, so a hot reload that changes the
 		// input width between enqueue and flush must surface as an error
 		// here — never as a Forward panic inside PredictBatch.
-		m, q := e.snapshot()
+		m := e.current()
 		want := m.InputLen()
 		for _, x := range xs {
 			if len(x) != want {
 				return nil, fmt.Errorf("%w: model %q now expects %d inputs, request was preprocessed to %d",
 					ErrModelReloaded, e.name, want, len(x))
 			}
-		}
-		if q != nil {
-			return q.PredictBatch(xs, r.workers)
 		}
 		return m.PredictBatch(xs, r.workers)
 	}, name, r.mx, r.logger)
@@ -197,17 +152,13 @@ func (r *Registry) Register(name string, m *nn.Model) error {
 	if m == nil || m.InputLen() == 0 {
 		return fmt.Errorf("serve: model %q is nil or unbuilt", name)
 	}
-	q, err := r.quantized(name, m)
-	if err != nil {
-		return err
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if e, ok := r.entries[name]; ok {
-		e.swap(m, q)
+		e.swap(m)
 		return nil
 	}
-	r.entries[name] = r.newEntry(name, "", m, q)
+	r.entries[name] = r.newEntry(name, "", m)
 	return nil
 }
 
@@ -261,10 +212,6 @@ func (r *Registry) publish(name string, data []byte) (ModelInfo, error) {
 	if err != nil {
 		return ModelInfo{}, fmt.Errorf("serve: publishing model %q: %w", name, err)
 	}
-	q, err := r.quantized(name, m)
-	if err != nil {
-		return ModelInfo{}, err
-	}
 	path := filepath.Join(dir, name+".json")
 	tmp, err := os.CreateTemp(dir, "."+name+".publish-*")
 	if err != nil {
@@ -286,18 +233,16 @@ func (r *Registry) publish(name string, data []byte) (ModelInfo, error) {
 	r.mu.Lock()
 	if e, ok := r.entries[name]; ok {
 		e.source = path
-		e.swap(m, q)
+		e.swap(m)
 	} else {
-		r.entries[name] = r.newEntry(name, path, m, q)
+		r.entries[name] = r.newEntry(name, path, m)
 	}
-	e := r.entries[name]
 	r.mu.Unlock()
 	return ModelInfo{
 		Name:      name,
 		InputLen:  m.InputLen(),
 		OutputLen: m.OutputLen(),
 		Params:    m.NumParams(),
-		Precision: e.precision(),
 		Source:    path,
 		LoadedAt:  time.Now(),
 	}, nil
@@ -349,7 +294,6 @@ func (r *Registry) reloadDir() ([]string, error) {
 	type loaded struct {
 		name, source string
 		model        *nn.Model
-		quant        *nn.QuantizedModel
 	}
 	var fresh []loaded
 	for _, p := range paths {
@@ -363,11 +307,7 @@ func (r *Registry) reloadDir() ([]string, error) {
 			return nil, fmt.Errorf("serve: loading %s: %w", p, err)
 		}
 		name := strings.TrimSuffix(filepath.Base(p), ".json")
-		q, err := r.quantized(name, m)
-		if err != nil {
-			return nil, err
-		}
-		fresh = append(fresh, loaded{name: name, source: p, model: m, quant: q})
+		fresh = append(fresh, loaded{name: name, source: p, model: m})
 	}
 	var names []string
 	var stale []*modelEntry
@@ -377,10 +317,10 @@ func (r *Registry) reloadDir() ([]string, error) {
 		seen[l.name] = true
 		names = append(names, l.name)
 		if e, ok := r.entries[l.name]; ok {
-			e.swap(l.model, l.quant)
+			e.swap(l.model)
 			continue
 		}
-		r.entries[l.name] = r.newEntry(l.name, l.source, l.model, l.quant)
+		r.entries[l.name] = r.newEntry(l.name, l.source, l.model)
 	}
 	for name, e := range r.entries {
 		if e.source != "" && !seen[name] {
@@ -425,16 +365,11 @@ func (r *Registry) List() []ModelInfo {
 	infos := make([]ModelInfo, 0, len(r.entries))
 	for _, e := range r.entries {
 		e.mu.RLock()
-		precision := precisionFP64
-		if e.quant != nil {
-			precision = precisionInt8
-		}
 		infos = append(infos, ModelInfo{
 			Name:      e.name,
 			InputLen:  e.model.InputLen(),
 			OutputLen: e.model.OutputLen(),
 			Params:    e.model.NumParams(),
-			Precision: precision,
 			Source:    e.source,
 			LoadedAt:  e.loadedAt,
 		})

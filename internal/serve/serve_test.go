@@ -247,7 +247,7 @@ func TestPredictClientErrors(t *testing.T) {
 	}
 }
 
-func TestModelsListAndStats(t *testing.T) {
+func TestModelsList(t *testing.T) {
 	srv, m := testServer(t, Config{})
 	var list struct {
 		Models []ModelInfo `json:"models"`
@@ -261,15 +261,14 @@ func TestModelsListAndStats(t *testing.T) {
 	}
 	var resp predictResponse
 	post(t, srv.Handler(), "/v1/predict", map[string]any{"intensities": ramp(24, 2)}, &resp)
-	var snap Snapshot
-	if code := do(t, srv.Handler(), http.MethodGet, "/v1/stats", []byte(nil), &snap); code != http.StatusOK {
-		t.Fatalf("stats: status %d", code)
+	if n := endpointCount(srv, "specserve_http_requests_total", "predict"); n != 1 {
+		t.Fatalf("predict request count %d, want 1", n)
 	}
-	if snap.Requests["predict"] != 1 || snap.BatchedInputs != 1 || snap.Batches != 1 {
-		t.Fatalf("snapshot %+v", snap)
+	if sizes := batchSizes(srv); sizes.Count() != 1 || sizes.Sum() != 1 {
+		t.Fatalf("batch-size histogram: %d batches of %g inputs, want 1 of 1", sizes.Count(), sizes.Sum())
 	}
-	if len(snap.BatchSizeHist) == 0 || snap.BatchSizeHist[0].Count != 1 {
-		t.Fatalf("batch histogram %+v", snap.BatchSizeHist)
+	if code := do(t, srv.Handler(), http.MethodGet, "/v1/stats", []byte(nil), nil); code != http.StatusNotFound {
+		t.Fatalf("GET /v1/stats: status %d, want 404 (metrics live on /metrics)", code)
 	}
 }
 

@@ -19,7 +19,7 @@
 //	GET    /v1/monitor/{id}       session status
 //	POST   /v1/monitor/{id}/step  feed one spectrum, get alarms
 //	DELETE /v1/monitor/{id}       close a session
-//	GET    /v1/stats              request/batch/latency metrics
+//	GET    /metrics               Prometheus metrics (stage latencies, batch sizes)
 //	GET    /healthz               liveness probe
 //
 // Batching is invisible to clients: PredictBatch is bit-identical to
@@ -71,12 +71,6 @@ type Config struct {
 	// ModelDir, when set, is loaded at startup and re-scanned by
 	// POST /v1/models/reload.
 	ModelDir string
-	// Quantize serves every model through its int8 engine (nn.Quantize):
-	// per-output-channel weight codes, per-sample activation scales, int32
-	// accumulation. Predictions carry an X-Specml-Precision header and the
-	// forward-stage histogram is labeled precision="int8". The accuracy
-	// contract is bounded drift, not bit-exactness — see DESIGN.md §5e.
-	Quantize bool
 	// MaxBodyBytes caps request bodies (default 32 MiB).
 	MaxBodyBytes int64
 	// MaxSessions caps live monitor sessions; creation beyond the cap is
@@ -120,7 +114,6 @@ func (c Config) withDefaults() Config {
 // to drain.
 type Server struct {
 	cfg      Config
-	stats    *Stats
 	mx       *serveMetrics
 	logger   *slog.Logger
 	reg      *Registry
@@ -140,13 +133,12 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:      cfg,
-		stats:    NewStats(),
-		mx:       newServeMetrics(cfg.Metrics, cfg.Quantize),
+		mx:       newServeMetrics(cfg.Metrics),
 		logger:   cfg.Logger,
 		sessions: newSessionStore(cfg.MaxSessions, cfg.SessionIdleTimeout),
 		mux:      http.NewServeMux(),
 	}
-	s.reg = newRegistry(cfg.MaxBatch, cfg.Workers, cfg.Quantize, s.stats, s.mx, s.logger)
+	s.reg = newRegistry(cfg.MaxBatch, cfg.Workers, s.mx, s.logger)
 	cfg.Metrics.GaugeFunc("specserve_monitor_sessions",
 		"Live monitor sessions.", func() float64 { return float64(s.sessions.count()) })
 	if cfg.ModelDir != "" {
@@ -163,9 +155,6 @@ func (s *Server) Metrics() *obs.Registry { return s.cfg.Metrics }
 
 // Registry exposes the model registry (programmatic registration, tests).
 func (s *Server) Registry() *Registry { return s.reg }
-
-// Stats exposes the metrics collector.
-func (s *Server) Stats() *Stats { return s.stats }
 
 // Handler returns the root HTTP handler.
 func (s *Server) Handler() http.Handler { return s }
@@ -202,7 +191,6 @@ func (s *Server) routes() {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	s.mux.Handle("GET /metrics", s.cfg.Metrics.Handler())
-	s.mux.HandleFunc("GET /v1/stats", s.instrument("stats", s.handleStats))
 	s.mux.HandleFunc("POST /v1/predict", s.instrument("predict", s.handlePredict))
 	s.mux.HandleFunc("GET /v1/models", s.instrument("models", s.handleModels))
 	s.mux.HandleFunc("POST /v1/models/reload", s.instrument("reload", s.handleReload))
@@ -217,25 +205,21 @@ func (s *Server) routes() {
 // statusClientClosedRequest is the nginx-convention status for a request
 // whose client went away before the response was ready. It exists so
 // client-initiated aborts are distinguishable from real failures and stay
-// out of the /v1/stats error counts.
+// out of the specserve_http_errors_total counts.
 const statusClientClosedRequest = 499
 
-// instrument records request count and latency per endpoint label — into
-// the legacy /v1/stats collector and the obs counters both. A client-closed
+// instrument counts requests and errors per endpoint label. A client-closed
 // request is not counted as an error: the server did nothing wrong when the
 // client hung up. The obs counters are resolved once per endpoint at route
 // setup, so the per-request path performs no registry lookups.
 func (s *Server) instrument(label string, h func(http.ResponseWriter, *http.Request) int) http.HandlerFunc {
 	reqs, errs := s.mx.endpointCounters(label)
 	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
 		status := h(w, r)
-		isErr := status >= 400 && status != statusClientClosedRequest
 		reqs.Inc()
-		if isErr {
+		if status >= 400 && status != statusClientClosedRequest {
 			errs.Inc()
 		}
-		s.stats.RecordRequest(label, time.Since(start), isErr)
 	}
 }
 
@@ -387,12 +371,6 @@ func (s *Server) encodeFractions(w http.ResponseWriter, r *http.Request, model s
 	return http.StatusOK
 }
 
-// precisionHeader is the response header naming the numeric engine that
-// produced a prediction ("fp64" or "int8"), so clients of a quantized
-// deployment can see they are under the bounded-drift accuracy contract
-// rather than exact float inference.
-const precisionHeader = "X-Specml-Precision"
-
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) int {
 	req, err := s.readPredictRequest(r)
 	if err != nil {
@@ -406,7 +384,6 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) int {
 	if err != nil {
 		return writeError(w, status, err)
 	}
-	w.Header().Set(precisionHeader, e.precision())
 	return s.encodeFractions(w, r, e.name, y)
 }
 
@@ -442,10 +419,6 @@ func (s *Server) handleModelPublish(w http.ResponseWriter, r *http.Request) int 
 		return writeError(w, http.StatusBadRequest, err)
 	}
 	return writeJSON(w, http.StatusOK, map[string]any{"published": info})
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) int {
-	return writeJSON(w, http.StatusOK, s.stats.SnapshotNow())
 }
 
 // monitorCreateRequest opens a monitoring session.
@@ -578,7 +551,6 @@ func (s *Server) handleMonitorStep(w http.ResponseWriter, r *http.Request) int {
 	if err != nil {
 		return writeError(w, http.StatusInternalServerError, err)
 	}
-	w.Header().Set(precisionHeader, e.precision())
 	return s.encodeResponse(w, http.StatusOK, map[string]any{
 		"session":    sess.id,
 		"step":       step,

@@ -31,23 +31,6 @@ func GrowInts(buf []int, n int) []int {
 	return make([]int, n)
 }
 
-// Grow8 is Grow for int8 code panels (quantized activations and packed
-// weights in the int8 inference path).
-func Grow8(buf []int8, n int) []int8 {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]int8, n)
-}
-
-// Grow32 is Grow for int32 accumulator scratch (quantized GEMM outputs).
-func Grow32(buf []int32, n int) []int32 {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]int32, n)
-}
-
 // roundUp pads a Pool allocation to the next power of two, the capacity of
 // its bucket.
 func roundUp(n int) int {

@@ -35,32 +35,6 @@ func TestGrowInts(t *testing.T) {
 	}
 }
 
-func TestGrow8(t *testing.T) {
-	b := Grow8(nil, 10)
-	if len(b) != 10 || cap(b) != 10 {
-		t.Fatalf("Grow8(nil, 10): len=%d cap=%d, want 10/10", len(b), cap(b))
-	}
-	if c := Grow8(b, 10); &c[0] != &b[0] {
-		t.Fatalf("Grow8 within capacity must reuse the array")
-	}
-	if d := Grow8(b, 17); cap(d) != 17 {
-		t.Fatalf("Grow8 past cap: cap=%d, want 17", cap(d))
-	}
-}
-
-func TestGrow32(t *testing.T) {
-	b := Grow32(nil, 5)
-	if len(b) != 5 || cap(b) != 5 {
-		t.Fatalf("Grow32(nil, 5): len=%d cap=%d, want 5/5", len(b), cap(b))
-	}
-	if c := Grow32(b, 4); &c[0] != &b[0] {
-		t.Fatalf("Grow32 within capacity must reuse the array")
-	}
-	if d := Grow32(b, 8); cap(d) != 8 {
-		t.Fatalf("Grow32 past cap: cap=%d, want 8", cap(d))
-	}
-}
-
 func TestPoolRecycles(t *testing.T) {
 	var p Pool
 	a := p.Get(100)

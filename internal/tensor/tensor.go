@@ -1,7 +1,7 @@
 // Package tensor implements the small dense linear-algebra substrate used
 // by the neural-network framework: BLAS-like kernels over flat row-major
-// []float64 (the batched GEMMs, the im2col lowering, the Adam update and
-// the per-sample matrix-vector products) plus the int8 inference kernels.
+// []float64: the batched GEMMs, the im2col lowering, the Adam update and
+// the per-sample matrix-vector products.
 // It deliberately avoids reflection and interface-based dispatch.
 package tensor
 
