@@ -168,7 +168,7 @@ func BenchmarkTable1Inference(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Forward(x)
+		m.Predict(x)
 	}
 }
 
@@ -270,7 +270,7 @@ func BenchmarkNMRCNNInference(b *testing.B) {
 	x := make([]float64, m.InputLen())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Forward(x)
+		m.Predict(x)
 	}
 }
 
@@ -285,7 +285,7 @@ func BenchmarkNMRLSTMInference(b *testing.B) {
 	x := make([]float64, m.InputLen())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Forward(x)
+		m.Predict(x)
 	}
 }
 

@@ -208,7 +208,7 @@ func HybridNMR(cfg Config, w io.Writer) (*HybridResult, error) {
 	}{{lstmRes, &out.LSTMLatency}, {hybridRes, &out.HybridLatency}} {
 		start := time.Now()
 		for i := range val.X {
-			t.res.Model.Forward(val.X[i])
+			t.res.Model.Predict(val.X[i])
 		}
 		*t.dst = time.Since(start) / time.Duration(len(val.X))
 	}

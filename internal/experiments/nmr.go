@@ -91,7 +91,7 @@ func NMR(cfg Config, w io.Writer) (*NMRResult, error) {
 	// CNN latency over the evaluation subset
 	start := time.Now()
 	for i := 0; i < len(spectra); i++ {
-		cnnRes.Model.Forward(spectra[i].Intensities)
+		cnnRes.Model.Predict(spectra[i].Intensities)
 	}
 	out.CNNLatency = time.Since(start) / time.Duration(len(spectra))
 
@@ -137,7 +137,7 @@ func NMR(cfg Config, w io.Writer) (*NMRResult, error) {
 	out.LSTMMSE = lstmRes.Model.EvaluateMSE(valWindows.X, valWindows.Y)
 	start = time.Now()
 	for i := range valWindows.X {
-		lstmRes.Model.Forward(valWindows.X[i])
+		lstmRes.Model.Predict(valWindows.X[i])
 	}
 	out.LSTMLatency = time.Since(start) / time.Duration(len(valWindows.X))
 

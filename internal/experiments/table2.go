@@ -86,7 +86,7 @@ func HostInference(cfg Config, samples int, w io.Writer) (time.Duration, error) 
 	}
 	start := time.Now()
 	for i := 0; i < samples; i++ {
-		m.Forward(x)
+		m.Predict(x)
 	}
 	elapsed := time.Since(start)
 	if w != nil {

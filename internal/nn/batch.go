@@ -25,7 +25,8 @@ func (d *Dense) ForwardBatch(x []float64, n int) []float64 {
 	d.by = pool.Grow(d.by, n*d.Out)
 	zero(d.by)
 	// Per row: accumulator starts at 0, adds w[r][c]*x[c] in ascending c
-	// order, bias added afterwards — exactly MatVec + bias in Forward.
+	// order, bias added afterwards — exactly the reference's dot product
+	// plus bias (refDense in oracle_test.go).
 	tensor.GemmNT(d.by, x, d.w.Data, n, d.Out, d.in)
 	for s := 0; s < n; s++ {
 		row := d.by[s*d.Out : (s+1)*d.Out]
@@ -41,7 +42,7 @@ func (d *Dense) BackwardBatch(gradOut []float64, n int) []float64 {
 	d.backwardParams(gradOut, n)
 	d.bgin = pool.Grow(d.bgin, n*d.in)
 	zero(d.bgin)
-	// dX = dY·W: per row, ascending output index like MatTVec.
+	// dX = dY·W: per row, ascending output index like refDense.
 	tensor.Gemm(d.bgin, gradOut, d.w.Data, n, d.in, d.Out)
 	return d.bgin
 }
@@ -50,7 +51,7 @@ func (d *Dense) BackwardBatch(gradOut []float64, n int) []float64 {
 func (d *Dense) backwardParams(gradOut []float64, n int) {
 	// dW += dYᵀ·X with the batch as the contraction axis: every weight
 	// element receives its per-sample contributions in ascending sample
-	// order, matching n sequential Backwards.
+	// order, matching n sequential per-sample backward passes.
 	tensor.GemmTN(d.w.Grad, gradOut, d.bx, d.Out, d.in, n, 0, d.Out, nil)
 	for s := 0; s < n; s++ {
 		grow := gradOut[s*d.Out : (s+1)*d.Out]
@@ -132,7 +133,7 @@ func (c *Conv1D) backwardParams(gradOut []float64, n int) {
 
 // paramGradFilters accumulates the weight and bias gradients of filters
 // [f0, f1). dW += dYᵀ·col: contributions arrive in ascending (sample,
-// position) order, the order of n sequential Backwards.
+// position) order, the order of n sequential per-sample backward passes.
 func (c *Conv1D) paramGradFilters(gradOut []float64, rows, f0, f1 int) {
 	fanIn := c.Kernel * c.inCh
 	tensor.GemmTN(c.w.Grad, gradOut, c.bcol, c.Filters, fanIn, rows, f0, f1, nil)
@@ -219,7 +220,7 @@ func (c *LocallyConnected1D) ForwardBatch(x []float64, n int) []float64 {
 
 // BackwardBatch implements Layer: the exact per-sample loop run over
 // the cached input block, samples outermost so every gradient element
-// accumulates in ascending sample order like sequential Backward calls.
+// accumulates in ascending sample order like sequential per-sample passes.
 func (c *LocallyConnected1D) BackwardBatch(gradOut []float64, n int) []float64 {
 	c.bgin = pool.Grow(c.bgin, n*c.inLen*c.inCh)
 	zero(c.bgin)
@@ -281,11 +282,11 @@ func (c *LocallyConnected1D) backward(gradOut []float64, n int, gin []float64) {
 // writes each element's derivative into bgin for BackwardBatch; inference
 // skips it, like the input snapshots.
 func (l *ActivationLayer) ForwardBatch(x []float64, n int) []float64 {
-	size := n * len(l.y)
+	size := n * l.width
 	l.by = pool.Grow(l.by, size)
 	l.startForward(n)
 	if w := l.shards(n, size*activationForwardWork); w > 1 {
-		runShards(w, n, func(lo, hi int) { l.activate(x, lo*len(l.y), hi*len(l.y)) })
+		runShards(w, n, func(lo, hi int) { l.activate(x, lo*l.width, hi*l.width) })
 	} else {
 		l.activate(x, 0, size)
 	}
@@ -299,7 +300,7 @@ func (l *ActivationLayer) startForward(n int) {
 		l.dn = 0
 		return
 	}
-	l.bgin = pool.Grow(l.bgin, n*len(l.y))
+	l.bgin = pool.Grow(l.bgin, n*l.width)
 	l.dn = n
 }
 
@@ -321,7 +322,7 @@ func (l *ActivationLayer) BackwardBatch(gradOut []float64, n int) []float64 {
 		panic(fmt.Sprintf("nn: activation BackwardBatch(n=%d) without a training-mode ForwardBatch of that n (holds %d)", n, l.dn))
 	}
 	l.dn = 0
-	row := len(l.gin)
+	row := l.width
 	size := n * row
 	if w := l.shards(n, size*activationBackwardWork); w > 1 {
 		runShards(w, n, func(lo, hi int) { scaleBy(l.bgin[lo*row:hi*row], gradOut[lo*row:hi*row]) })
@@ -342,10 +343,10 @@ func scaleBy(d, g []float64) {
 // ---------------------------------------------------------------------------
 // SoftmaxLayer
 
-// ForwardBatch implements Layer: the per-group softmax of Forward, run
-// over every row of the block.
+// ForwardBatch implements Layer: the per-group softmax, run over every row
+// of the block.
 func (l *SoftmaxLayer) ForwardBatch(x []float64, n int) []float64 {
-	nf := len(l.y)
+	nf := l.groups * l.width
 	l.by = pool.Grow(l.by, n*nf)
 	for s := 0; s < n; s++ {
 		for g := 0; g < l.groups; g++ {
@@ -358,7 +359,7 @@ func (l *SoftmaxLayer) ForwardBatch(x []float64, n int) []float64 {
 
 // BackwardBatch implements Layer.
 func (l *SoftmaxLayer) BackwardBatch(gradOut []float64, n int) []float64 {
-	nf := len(l.y)
+	nf := l.groups * l.width
 	l.bgin = pool.Grow(l.bgin, n*nf)
 	for s := 0; s < n; s++ {
 		for g := 0; g < l.groups; g++ {
@@ -385,16 +386,15 @@ func (l *SoftmaxLayer) BackwardBatch(gradOut []float64, n int) []float64 {
 // ForwardBatch; Model.reseedDropoutBatch derives them.
 func (l *Dropout) setBatchSources(srcs []*rng.Source) { l.batchSrcs = srcs }
 
-// ForwardBatch implements Layer. Outside training it is the identity
-// (no copy, like the snapshot-free inference Forward); in training each row
-// draws its mask from its own per-sample stream in element order, exactly
-// as Forward does after a per-sample Reseed.
+// ForwardBatch implements Layer. Outside training it is the identity (no
+// copy); in training each row draws its mask from its own per-sample stream
+// in element order.
 func (l *Dropout) ForwardBatch(x []float64, n int) []float64 {
 	if !l.training || l.Rate == 0 {
 		l.maskN = 0
 		return x
 	}
-	nf := len(l.y)
+	nf := l.width
 	if len(l.batchSrcs) < n {
 		panic("nn: dropout ForwardBatch in training mode without per-sample batch sources")
 	}
@@ -429,8 +429,7 @@ func (l *Dropout) BackwardBatch(gradOut []float64, n int) []float64 {
 	if n != l.maskN {
 		panic(fmt.Sprintf("nn: dropout BackwardBatch(n=%d) without a training-mode ForwardBatch of that n (holds %d)", n, l.maskN))
 	}
-	nf := len(l.y)
-	l.bgin = pool.Grow(l.bgin, n*nf)
+	l.bgin = pool.Grow(l.bgin, n*l.width)
 	for i, g := range gradOut {
 		l.bgin[i] = g * l.bmask[i]
 	}
@@ -476,7 +475,7 @@ func (l *MaxPool1D) ForwardBatch(x []float64, n int) []float64 {
 					}
 				}
 				ys[p*l.ch+c] = best
-				am[p*l.ch+c] = bestIdx // sample-local index, like Forward
+				am[p*l.ch+c] = bestIdx // sample-local index
 			}
 		}
 	}
@@ -605,8 +604,8 @@ type paramGradLayer interface {
 }
 
 // backwardBatch propagates a [n x outLen] gradient block down the stack,
-// accumulating parameter gradients exactly like n sequential Backward
-// calls. It stops at the lowest layer with parameters, which computes only
+// accumulating parameter gradients exactly like n sequential per-sample
+// backward passes. It stops at the lowest layer with parameters, which computes only
 // its parameter gradients: the input gradient below it has no reader.
 func (m *Model) backwardBatch(gradOut []float64, n int) {
 	if m.firstParam < 0 {
@@ -641,9 +640,8 @@ func (m *Model) reseedDropoutBatch(seeds []uint64) {
 	}
 }
 
-// checkBatchInputs panics like Forward on a row of the wrong width, before
-// any kernel runs, so the serve dispatcher's recover turns it into a batch
-// error.
+// checkBatchInputs panics on a row of the wrong width before any kernel
+// runs, so the serve dispatcher's recover turns it into a batch error.
 func (m *Model) checkBatchInputs(x [][]float64) {
 	inLen := m.InputLen()
 	for _, row := range x {

@@ -58,6 +58,9 @@ func BenchmarkBatchForwardDense32(b *testing.B) {
 	}
 }
 
+// The *PerSample benchmarks time the per-sample reference (oracle_test.go)
+// over the same 32 rows as their batched twins. The reference allocates a
+// tape per layer and row, so they measure the oracle, not a production path.
 func BenchmarkBatchForwardDense32PerSample(b *testing.B) {
 	m := benchDenseModel(b)
 	inLen := m.InputLen()
@@ -67,7 +70,7 @@ func BenchmarkBatchForwardDense32PerSample(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for s := 0; s < 32; s++ {
-			m.Forward(xb[s*inLen : (s+1)*inLen])
+			refModel(m, xb[s*inLen:(s+1)*inLen], nil)
 		}
 	}
 }
@@ -92,7 +95,7 @@ func BenchmarkBatchForwardConv32PerSample(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for s := 0; s < 32; s++ {
-			m.Forward(xb[s*inLen : (s+1)*inLen])
+			refModel(m, xb[s*inLen:(s+1)*inLen], nil)
 		}
 	}
 }
@@ -184,7 +187,7 @@ func BenchmarkLSTMBatchForward32PerSample(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for s := 0; s < 32; s++ {
-			m.Forward(xb[s*inLen : (s+1)*inLen])
+			refModel(m, xb[s*inLen:(s+1)*inLen], nil)
 		}
 	}
 }

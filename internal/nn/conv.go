@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"specml/internal/rng"
-	"specml/internal/tensor"
 )
 
 // convOutLen returns the number of valid output positions for a 1-D
@@ -50,10 +49,8 @@ type Conv1D struct {
 
 	inLen, inCh, outLen int
 	w, b                *Param // w layout: [filter][k][inCh]
-	x, y, gin           []float64
-	infer               bool
 
-	bcol, bdcol, by, bgin []float64 // batched-path caches (bcol: im2col block)
+	bcol, bdcol, by, bgin []float64 // forward/backward caches (bcol: im2col block)
 	kernelShards
 }
 
@@ -87,56 +84,7 @@ func (c *Conv1D) Build(src *rng.Source, inputShape []int) ([]int, error) {
 	} else {
 		glorotUniform(src, c.w.Data, fanIn, c.Filters)
 	}
-	c.x = make([]float64, inLen*inCh)
-	c.y = make([]float64, outLen*c.Filters)
-	c.gin = make([]float64, inLen*inCh)
 	return []int{outLen, c.Filters}, nil
-}
-
-// SetInference toggles inference mode (skips the input snapshot).
-func (c *Conv1D) SetInference(v bool) { c.infer = v }
-
-// Forward implements Layer.
-func (c *Conv1D) Forward(x []float64) []float64 {
-	if !c.infer {
-		copy(c.x, x)
-	}
-	fanIn := c.Kernel * c.inCh
-	for p := 0; p < c.outLen; p++ {
-		base := p * c.Stride * c.inCh
-		out := c.y[p*c.Filters : (p+1)*c.Filters]
-		// Each output starts from its bias and adds the window products in
-		// ascending order; GemmNT keeps that per-element order while
-		// feeding four filters from every loaded window element.
-		copy(out, c.b.Data)
-		tensor.GemmNT(out, x[base:base+fanIn], c.w.Data, 1, c.Filters, fanIn)
-	}
-	return c.y
-}
-
-// Backward implements Layer.
-func (c *Conv1D) Backward(gradOut []float64) []float64 {
-	fanIn := c.Kernel * c.inCh
-	for i := range c.gin {
-		c.gin[i] = 0
-	}
-	for p := 0; p < c.outLen; p++ {
-		base := p * c.Stride * c.inCh
-		win := c.x[base : base+fanIn]
-		ginWin := c.gin[base : base+fanIn]
-		g := gradOut[p*c.Filters : (p+1)*c.Filters]
-		for f := 0; f < c.Filters; f++ {
-			gf := g[f]
-			c.b.Grad[f] += gf
-			wf := c.w.Data[f*fanIn : (f+1)*fanIn]
-			gwf := c.w.Grad[f*fanIn : (f+1)*fanIn]
-			for i, v := range win {
-				gwf[i] += gf * v
-				ginWin[i] += gf * wf[i]
-			}
-		}
-	}
-	return c.gin
 }
 
 // Params implements Layer.
@@ -160,9 +108,8 @@ type LocallyConnected1D struct {
 
 	inLen, inCh, outLen int
 	w, b                *Param // w layout: [pos][filter][k][inCh]; b: [pos][filter]
-	x, y, gin           []float64
 
-	bx, by, bgin []float64 // batched-path caches (bx aliases the input block)
+	bx, by, bgin []float64 // forward/backward caches (bx aliases the input block)
 }
 
 // NewLocallyConnected1D returns a locally connected 1-D layer.
@@ -195,9 +142,6 @@ func (c *LocallyConnected1D) Build(src *rng.Source, inputShape []int) ([]int, er
 	} else {
 		glorotUniform(src, c.w.Data, fanIn, c.Filters)
 	}
-	c.x = make([]float64, inLen*inCh)
-	c.y = make([]float64, outLen*c.Filters)
-	c.gin = make([]float64, inLen*inCh)
 	return []int{outLen, c.Filters}, nil
 }
 
@@ -205,56 +149,6 @@ func (c *LocallyConnected1D) Build(src *rng.Source, inputShape []int) ([]int, er
 // paper reports it: 10 532 for the NMR CNN).
 func (c *LocallyConnected1D) NumParams() int {
 	return len(c.w.Data) + len(c.b.Data)
-}
-
-// Forward implements Layer.
-func (c *LocallyConnected1D) Forward(x []float64) []float64 {
-	copy(c.x, x)
-	fanIn := c.Kernel * c.inCh
-	for p := 0; p < c.outLen; p++ {
-		base := p * c.Stride * c.inCh
-		win := x[base : base+fanIn]
-		out := c.y[p*c.Filters : (p+1)*c.Filters]
-		wp := c.w.Data[p*c.Filters*fanIn : (p+1)*c.Filters*fanIn]
-		bp := c.b.Data[p*c.Filters : (p+1)*c.Filters]
-		for f := 0; f < c.Filters; f++ {
-			wf := wp[f*fanIn : (f+1)*fanIn]
-			s := bp[f]
-			for i, v := range win {
-				s += wf[i] * v
-			}
-			out[f] = s
-		}
-	}
-	return c.y
-}
-
-// Backward implements Layer.
-func (c *LocallyConnected1D) Backward(gradOut []float64) []float64 {
-	fanIn := c.Kernel * c.inCh
-	for i := range c.gin {
-		c.gin[i] = 0
-	}
-	for p := 0; p < c.outLen; p++ {
-		base := p * c.Stride * c.inCh
-		win := c.x[base : base+fanIn]
-		ginWin := c.gin[base : base+fanIn]
-		g := gradOut[p*c.Filters : (p+1)*c.Filters]
-		wp := c.w.Data[p*c.Filters*fanIn : (p+1)*c.Filters*fanIn]
-		gwp := c.w.Grad[p*c.Filters*fanIn : (p+1)*c.Filters*fanIn]
-		gbp := c.b.Grad[p*c.Filters : (p+1)*c.Filters]
-		for f := 0; f < c.Filters; f++ {
-			gf := g[f]
-			gbp[f] += gf
-			wf := wp[f*fanIn : (f+1)*fanIn]
-			gwf := gwp[f*fanIn : (f+1)*fanIn]
-			for i, v := range win {
-				gwf[i] += gf * v
-				ginWin[i] += gf * wf[i]
-			}
-		}
-	}
-	return c.gin
 }
 
 // Params implements Layer.
@@ -272,11 +166,9 @@ type MaxPool1D struct {
 	Stride int
 
 	inLen, ch, outLen int
-	argmax            []int
-	y, gin            []float64
 
 	bargmax  []int
-	by, bgin []float64 // batched-path caches
+	by, bgin []float64 // forward/backward caches
 }
 
 // NewMaxPool1D returns a max-pooling layer. Stride defaults to Kernel when 0.
@@ -301,40 +193,7 @@ func (l *MaxPool1D) Build(_ *rng.Source, inputShape []int) ([]int, error) {
 		return nil, err
 	}
 	l.inLen, l.ch, l.outLen = inLen, ch, outLen
-	l.argmax = make([]int, outLen*ch)
-	l.y = make([]float64, outLen*ch)
-	l.gin = make([]float64, inLen*ch)
 	return []int{outLen, ch}, nil
-}
-
-// Forward implements Layer.
-func (l *MaxPool1D) Forward(x []float64) []float64 {
-	for p := 0; p < l.outLen; p++ {
-		for c := 0; c < l.ch; c++ {
-			bestIdx := (p*l.Stride)*l.ch + c
-			best := x[bestIdx]
-			for k := 1; k < l.Kernel; k++ {
-				idx := (p*l.Stride+k)*l.ch + c
-				if x[idx] > best {
-					best, bestIdx = x[idx], idx
-				}
-			}
-			l.y[p*l.ch+c] = best
-			l.argmax[p*l.ch+c] = bestIdx
-		}
-	}
-	return l.y
-}
-
-// Backward implements Layer.
-func (l *MaxPool1D) Backward(gradOut []float64) []float64 {
-	for i := range l.gin {
-		l.gin[i] = 0
-	}
-	for i, g := range gradOut {
-		l.gin[l.argmax[i]] += g
-	}
-	return l.gin
 }
 
 // Params implements Layer.
@@ -351,9 +210,8 @@ type AvgPool1D struct {
 	Stride int
 
 	inLen, ch, outLen int
-	y, gin            []float64
 
-	by, bgin []float64 // batched-path caches
+	by, bgin []float64 // forward/backward caches
 }
 
 // NewAvgPool1D returns an average-pooling layer. Stride defaults to Kernel
@@ -379,41 +237,7 @@ func (l *AvgPool1D) Build(_ *rng.Source, inputShape []int) ([]int, error) {
 		return nil, err
 	}
 	l.inLen, l.ch, l.outLen = inLen, ch, outLen
-	l.y = make([]float64, outLen*ch)
-	l.gin = make([]float64, inLen*ch)
 	return []int{outLen, ch}, nil
-}
-
-// Forward implements Layer.
-func (l *AvgPool1D) Forward(x []float64) []float64 {
-	inv := 1 / float64(l.Kernel)
-	for p := 0; p < l.outLen; p++ {
-		for c := 0; c < l.ch; c++ {
-			s := 0.0
-			for k := 0; k < l.Kernel; k++ {
-				s += x[(p*l.Stride+k)*l.ch+c]
-			}
-			l.y[p*l.ch+c] = s * inv
-		}
-	}
-	return l.y
-}
-
-// Backward implements Layer.
-func (l *AvgPool1D) Backward(gradOut []float64) []float64 {
-	for i := range l.gin {
-		l.gin[i] = 0
-	}
-	inv := 1 / float64(l.Kernel)
-	for p := 0; p < l.outLen; p++ {
-		for c := 0; c < l.ch; c++ {
-			g := gradOut[p*l.ch+c] * inv
-			for k := 0; k < l.Kernel; k++ {
-				l.gin[(p*l.Stride+k)*l.ch+c] += g
-			}
-		}
-	}
-	return l.gin
 }
 
 // Params implements Layer.

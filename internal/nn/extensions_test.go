@@ -11,7 +11,7 @@ import (
 func TestGradTimeDistributedDense(t *testing.T) {
 	m := buildModel(t, 31, []int{4, 6},
 		NewTimeDistributed(NewDense(3)), NewLSTM(4), NewDense(2))
-	if r := numericalGradCheck(t, m, MSE, 32); r > gradTol {
+	if r := numericalGradCheck(t, m, MSE, 32, 1); r > gradTol {
 		t.Fatalf("timedistributed gradient error %v", r)
 	}
 }
@@ -22,7 +22,7 @@ func TestGradTimeDistributedConv(t *testing.T) {
 	m := buildModel(t, 33, []int{3, 18},
 		NewTimeDistributed(NewLocallyConnected1D(2, 3, 3), 18, 1),
 		NewLSTM(4), NewDense(2))
-	if r := numericalGradCheck(t, m, MSE, 34); r > gradTol {
+	if r := numericalGradCheck(t, m, MSE, 34, 1); r > gradTol {
 		t.Fatalf("hybrid gradient error %v", r)
 	}
 }
@@ -42,7 +42,7 @@ func TestTimeDistributedSharesWeights(t *testing.T) {
 	for t2 := 0; t2 < 5; t2++ {
 		copy(x[t2*4:(t2+1)*4], []float64{1, -2, 0.5, 3})
 	}
-	out := m.Forward(x)
+	out := m.Predict(x)
 	for t2 := 1; t2 < 5; t2++ {
 		for j := 0; j < 2; j++ {
 			if out[t2*2+j] != out[j] {
@@ -173,6 +173,10 @@ func TestPredictWithUncertainty(t *testing.T) {
 	if std[0] == 0 && std[1] == 0 {
 		t.Fatal("MC dropout produced zero uncertainty")
 	}
+	// each call draws fresh masks
+	if again, _, _ := m.PredictWithUncertainty(x, 50); again[0] == mean[0] && again[1] == mean[1] {
+		t.Fatal("repeated calls drew the same masks")
+	}
 	// inference mode restored afterwards: deterministic predictions
 	a, b := m.Predict(x), m.Predict(x)
 	if a[0] != b[0] {
@@ -194,6 +198,22 @@ func TestPredictWithUncertaintyNoDropoutIsDeterministic(t *testing.T) {
 		if math.Abs(mean[j]-p[j]) > 1e-12 || std[j] > 1e-12 {
 			t.Fatal("deterministic model must have zero MC spread")
 		}
+	}
+}
+
+// TestPredictWithUncertaintyRateZero pins that a dropout layer with rate 0
+// draws no spread: the Monte-Carlo mean is Predict bit for bit.
+func TestPredictWithUncertaintyRateZero(t *testing.T) {
+	m := buildModel(t, 45, []int{8},
+		NewDense(6), NewActivation(Tanh), NewDropout(0), NewDense(2))
+	x := []float64{1, -1, 0.5, 2, 0, 1, -0.5, 0.25}
+	for _, n := range []int{2, 7} {
+		mean, std, err := m.PredictWithUncertainty(x, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		expectBits(t, "mean n="+itoa(n), mean, m.Predict(x), false)
+		expectBits(t, "std n="+itoa(n), std, []float64{0, 0}, false)
 	}
 }
 

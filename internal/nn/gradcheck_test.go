@@ -2,19 +2,22 @@ package nn
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"specml/internal/rng"
 )
 
-// numericalGradCheck compares the analytic gradients of a built model
-// (parameters AND inputs) against central finite differences on a random
-// sample, returning the maximum relative error.
-func numericalGradCheck(t *testing.T, m *Model, loss Loss, seed uint64) float64 {
+// numericalGradCheck compares the gradients of the batched backward pass
+// (parameters AND inputs, every layer's BackwardBatch run) against central
+// finite differences of the batched forward pass over n random samples,
+// returning the maximum relative error. The loss is summed over the rows.
+func numericalGradCheck(t *testing.T, m *Model, loss Loss, seed uint64, n int) float64 {
 	t.Helper()
 	src := rng.New(seed)
-	x := make([]float64, m.InputLen())
-	y := make([]float64, m.OutputLen())
+	inLen, outLen := m.InputLen(), m.OutputLen()
+	x := make([]float64, n*inLen)
+	y := make([]float64, n*outLen)
 	for i := range x {
 		x[i] = src.Normal(0, 1)
 	}
@@ -22,22 +25,25 @@ func numericalGradCheck(t *testing.T, m *Model, loss Loss, seed uint64) float64 
 		y[i] = src.Float64()
 	}
 	// normalize targets for softmax-headed models; harmless otherwise
-	sum := 0.0
-	for _, v := range y {
-		sum += v
-	}
-	for i := range y {
-		y[i] /= sum
+	for r := 0; r < n; r++ {
+		row := y[r*outLen : (r+1)*outLen]
+		sum := 0.0
+		for _, v := range row {
+			sum += v
+		}
+		for i := range row {
+			row[i] /= sum
+		}
 	}
 
 	m.SetTraining(false)
 	m.ZeroGrad()
-	out := m.Forward(x)
+	out := m.forwardBatch(x, n)
 	grad := make([]float64, len(out))
-	loss.Grad(out, y, grad)
-	gin := m.Backward(grad)
-	analyticIn := make([]float64, len(gin))
-	copy(analyticIn, gin)
+	for r := 0; r < n; r++ {
+		loss.Grad(out[r*outLen:(r+1)*outLen], y[r*outLen:(r+1)*outLen], grad[r*outLen:(r+1)*outLen])
+	}
+	analyticIn := slices.Clone(backwardAll(m, grad, n))
 
 	const eps = 1e-5
 	maxRel := 0.0
@@ -46,7 +52,12 @@ func numericalGradCheck(t *testing.T, m *Model, loss Loss, seed uint64) float64 
 		return math.Abs(analytic-numeric) / den
 	}
 	evalLoss := func() float64 {
-		return loss.Loss(m.Forward(x), y)
+		out := m.forwardBatch(x, n)
+		l := 0.0
+		for r := 0; r < n; r++ {
+			l += loss.Loss(out[r*outLen:(r+1)*outLen], y[r*outLen:(r+1)*outLen])
+		}
+		return l
 	}
 
 	// parameter gradients
@@ -100,7 +111,7 @@ const gradTol = 2e-4
 
 func TestGradDense(t *testing.T) {
 	m := buildModel(t, 1, []int{7}, NewDense(5), NewDense(3))
-	if r := numericalGradCheck(t, m, MSE, 2); r > gradTol {
+	if r := numericalGradCheck(t, m, MSE, 2, 1); r > gradTol {
 		t.Fatalf("dense gradient error %v", r)
 	}
 }
@@ -109,7 +120,7 @@ func TestGradDenseWithActivations(t *testing.T) {
 	for _, act := range []Activation{ReLU, SELU, Sigmoid, Tanh, Linear} {
 		m := buildModel(t, 3, []int{6},
 			NewDense(8), NewActivation(act), NewDense(4))
-		if r := numericalGradCheck(t, m, MSE, 4); r > gradTol {
+		if r := numericalGradCheck(t, m, MSE, 4, 1); r > gradTol {
 			t.Fatalf("%s gradient error %v", act.Name(), r)
 		}
 	}
@@ -117,7 +128,7 @@ func TestGradDenseWithActivations(t *testing.T) {
 
 func TestGradSoftmaxHead(t *testing.T) {
 	m := buildModel(t, 5, []int{6}, NewDense(4), NewSoftmax())
-	if r := numericalGradCheck(t, m, MSE, 6); r > gradTol {
+	if r := numericalGradCheck(t, m, MSE, 6, 1); r > gradTol {
 		t.Fatalf("softmax gradient error %v", r)
 	}
 }
@@ -126,7 +137,7 @@ func TestGradSoftmaxWithMAE(t *testing.T) {
 	// MAE is only subdifferentiable; the check still passes away from kinks
 	// for almost all random draws with the loose relative tolerance.
 	m := buildModel(t, 7, []int{5}, NewDense(4), NewSoftmax())
-	if r := numericalGradCheck(t, m, MSE, 8); r > gradTol {
+	if r := numericalGradCheck(t, m, MSE, 8, 1); r > gradTol {
 		t.Fatalf("softmax+MAE gradient error %v", r)
 	}
 }
@@ -134,7 +145,7 @@ func TestGradSoftmaxWithMAE(t *testing.T) {
 func TestGradConv1D(t *testing.T) {
 	m := buildModel(t, 9, []int{20, 2},
 		NewConv1D(3, 5, 2), NewActivation(Tanh), NewFlatten(), NewDense(3))
-	if r := numericalGradCheck(t, m, MSE, 10); r > gradTol {
+	if r := numericalGradCheck(t, m, MSE, 10, 1); r > gradTol {
 		t.Fatalf("conv1d gradient error %v", r)
 	}
 }
@@ -148,7 +159,7 @@ func TestGradConv1DStacked(t *testing.T) {
 		NewConv1D(4, 5, 2), NewSoftmax(),
 		NewFlatten(),
 		NewDense(4), NewSoftmax())
-	if r := numericalGradCheck(t, m, MSE, 12); r > gradTol {
+	if r := numericalGradCheck(t, m, MSE, 12, 1); r > gradTol {
 		t.Fatalf("stacked conv gradient error %v", r)
 	}
 }
@@ -156,21 +167,21 @@ func TestGradConv1DStacked(t *testing.T) {
 func TestGradLocallyConnected1D(t *testing.T) {
 	m := buildModel(t, 13, []int{27, 1},
 		NewLocallyConnected1D(4, 9, 9), NewFlatten(), NewDense(4))
-	if r := numericalGradCheck(t, m, MSE, 14); r > gradTol {
+	if r := numericalGradCheck(t, m, MSE, 14, 1); r > gradTol {
 		t.Fatalf("locally connected gradient error %v", r)
 	}
 }
 
 func TestGradLSTM(t *testing.T) {
 	m := buildModel(t, 15, []int{4, 6}, NewLSTM(5), NewDense(3))
-	if r := numericalGradCheck(t, m, MSE, 16); r > gradTol {
+	if r := numericalGradCheck(t, m, MSE, 16, 1); r > gradTol {
 		t.Fatalf("lstm gradient error %v", r)
 	}
 }
 
 func TestGradLSTMLongerSequence(t *testing.T) {
 	m := buildModel(t, 17, []int{9, 3}, NewLSTM(4), NewDense(2))
-	if r := numericalGradCheck(t, m, MSE, 18); r > gradTol {
+	if r := numericalGradCheck(t, m, MSE, 18, 1); r > gradTol {
 		t.Fatalf("lstm(T=9) gradient error %v", r)
 	}
 }
@@ -179,20 +190,20 @@ func TestGradPooling(t *testing.T) {
 	m := buildModel(t, 19, []int{16, 2},
 		NewConv1D(3, 3, 1), NewActivation(Tanh),
 		NewMaxPool1D(2, 0), NewFlatten(), NewDense(3))
-	if r := numericalGradCheck(t, m, MSE, 20); r > gradTol {
+	if r := numericalGradCheck(t, m, MSE, 20, 1); r > gradTol {
 		t.Fatalf("maxpool gradient error %v", r)
 	}
 	m2 := buildModel(t, 21, []int{16, 2},
 		NewConv1D(3, 3, 1), NewActivation(Tanh),
 		NewAvgPool1D(2, 0), NewFlatten(), NewDense(3))
-	if r := numericalGradCheck(t, m2, MSE, 22); r > gradTol {
+	if r := numericalGradCheck(t, m2, MSE, 22, 1); r > gradTol {
 		t.Fatalf("avgpool gradient error %v", r)
 	}
 }
 
 func TestGradHuber(t *testing.T) {
 	m := buildModel(t, 23, []int{5}, NewDense(4), NewActivation(Tanh), NewDense(2))
-	if r := numericalGradCheck(t, m, HuberLoss{Delta: 0.5}, 24); r > gradTol {
+	if r := numericalGradCheck(t, m, HuberLoss{Delta: 0.5}, 24, 1); r > gradTol {
 		t.Fatalf("huber gradient error %v", r)
 	}
 }

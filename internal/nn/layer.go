@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"specml/internal/rng"
-	"specml/internal/tensor"
 )
 
 // Param is a trainable parameter tensor with its gradient accumulator.
@@ -27,25 +26,24 @@ func (p *Param) ZeroGrad() {
 }
 
 // Layer is one stage of a feed-forward network. Layers are stateful: Build
-// fixes shapes and allocates parameters, a forward pass caches whatever the
-// matching backward pass needs, and the backward pass consumes the most
-// recent forward's cache. A layer instance therefore serves one goroutine
-// at a time.
+// fixes shapes and allocates parameters, ForwardBatch caches whatever the
+// matching BackwardBatch needs, and BackwardBatch consumes the most recent
+// forward's cache. A layer instance therefore serves one goroutine at a
+// time.
 //
-// ForwardBatch and BackwardBatch are the path every model driver runs —
-// training, PredictBatch and the chunked evaluators. They process a whole
-// row-major [n x features] block in one call, turning n per-sample loops
-// into blocked kernels (im2col + GEMM for the convolutions), and they are
-// BIT-IDENTICAL to looping Forward/Backward over the rows: inside every
-// kernel each output element keeps the exact accumulation order of the
-// per-sample loops, so batching is invisible to the golden-file,
-// worker-invariance and serve bitwise-identity tests. BackwardBatch
-// consumes the caches of the most recent ForwardBatch with the same n, run
-// outside inference mode (activations keep their derivatives from it and
-// panic without them), and returned blocks are owned by the layer until
-// its next call. The per-sample Forward/Backward pair is the reference
-// those tests compare against; Model.Predict and the materialized
-// evaluators also run it.
+// The contract is batched: every model driver (training, Predict,
+// PredictBatch, the evaluators) hands a layer a whole row-major
+// [n x features] block, which the layer runs through blocked kernels
+// (im2col + GEMM for the convolutions). The result is BIT-IDENTICAL to
+// running the rows one at a time through the plain per-sample loops: inside
+// every kernel each output element keeps the exact accumulation order of
+// those loops, so batching is invisible to the golden-file,
+// worker-invariance and serve bitwise-identity tests. The per-sample loops
+// live only in the package's tests (oracle_test.go), as the reference the
+// bit-identity tests compare against. BackwardBatch consumes the caches of
+// the most recent ForwardBatch with the same n, run outside inference mode
+// (activations keep their derivatives from it and panic without them), and
+// returned blocks are owned by the layer until its next call.
 type Layer interface {
 	// Kind returns the canonical layer-type name ("dense", "conv1d", ...).
 	Kind() string
@@ -53,18 +51,13 @@ type Layer interface {
 	// parameters using src, and returns the output shape. Shapes are
 	// either [n] (a vector) or [length, channels] (a 1-D sequence).
 	Build(src *rng.Source, inputShape []int) (outputShape []int, err error)
-	// Forward computes the layer output for one sample.
-	Forward(x []float64) []float64
-	// Backward receives dLoss/dOutput and returns dLoss/dInput, adding
-	// parameter gradients into Params' Grad buffers.
-	Backward(gradOut []float64) []float64
 	// ForwardBatch computes outputs for n samples packed row-major in x
 	// ([n x inLen]) and returns a layer-owned [n x outLen] block.
 	ForwardBatch(x []float64, n int) []float64
 	// BackwardBatch consumes dLoss/dOutput for the last ForwardBatch's n
 	// samples and returns the layer-owned [n x inLen] input-gradient block,
-	// accumulating parameter gradients exactly as n sequential Backward
-	// calls would.
+	// adding the parameter gradients into Params' Grad buffers in the order
+	// n sequential per-sample backward passes would.
 	BackwardBatch(gradOut []float64, n int) []float64
 	// Params returns the trainable parameters (nil for stateless layers).
 	Params() []*Param
@@ -116,14 +109,10 @@ type Dense struct {
 	Out  int
 	Init string // "glorot" (default) or "lecun"
 
-	in    int
-	w, b  *Param
-	x     []float64 // cached input
-	y     []float64
-	gin   []float64
-	infer bool
+	in   int
+	w, b *Param
 
-	bx, by, bgin []float64 // batched-path caches (bx aliases the input block)
+	bx, by, bgin []float64 // forward/backward caches (bx aliases the input block)
 }
 
 // NewDense returns a dense layer with Out output units.
@@ -148,36 +137,7 @@ func (d *Dense) Build(src *rng.Source, inputShape []int) ([]int, error) {
 	} else {
 		glorotUniform(src, d.w.Data, d.in, d.Out)
 	}
-	d.x = make([]float64, d.in)
-	d.y = make([]float64, d.Out)
-	d.gin = make([]float64, d.in)
 	return []int{d.Out}, nil
-}
-
-// SetInference toggles inference mode: the input snapshot Backward needs is
-// skipped, since a pure forward pass never calls Backward.
-func (d *Dense) SetInference(v bool) { d.infer = v }
-
-// Forward implements Layer.
-func (d *Dense) Forward(x []float64) []float64 {
-	if !d.infer {
-		copy(d.x, x)
-	}
-	tensor.MatVec(d.y, d.w.Data, x, d.Out, d.in)
-	for i := range d.y {
-		d.y[i] += d.b.Data[i]
-	}
-	return d.y
-}
-
-// Backward implements Layer.
-func (d *Dense) Backward(gradOut []float64) []float64 {
-	tensor.OuterAccum(d.w.Grad, gradOut, d.x, d.Out, d.in)
-	for i, g := range gradOut {
-		d.b.Grad[i] += g
-	}
-	tensor.MatTVec(d.gin, d.w.Data, gradOut, d.Out, d.in)
-	return d.gin
 }
 
 // Params implements Layer.
@@ -192,13 +152,12 @@ func (d *Dense) Spec() LayerSpec {
 type ActivationLayer struct {
 	Act Activation
 
-	x, y, gin []float64
-	infer     bool
+	width int // elements per row
+	infer bool
 
-	// Batched-path caches. A training-mode ForwardBatch writes the
-	// derivative of every element into bgin; BackwardBatch scales it by the
-	// output gradient in place. dn is the batch size whose derivatives bgin
-	// holds, 0 when it holds none.
+	// A training-mode ForwardBatch writes the derivative of every element
+	// into bgin; BackwardBatch scales it by the output gradient in place. dn
+	// is the batch size whose derivatives bgin holds, 0 when it holds none.
 	by, bgin []float64
 	dn       int
 	kernelShards
@@ -215,36 +174,15 @@ func (l *ActivationLayer) Build(_ *rng.Source, inputShape []int) ([]int, error) 
 	if l.Act == nil {
 		return nil, fmt.Errorf("nn: activation layer without activation")
 	}
-	n := shapeLen(inputShape)
-	l.x = make([]float64, n)
-	l.y = make([]float64, n)
-	l.gin = make([]float64, n)
+	l.width = shapeLen(inputShape)
 	out := make([]int, len(inputShape))
 	copy(out, inputShape)
 	return out, nil
 }
 
-// SetInference toggles inference mode (skips the input snapshot).
+// SetInference toggles inference mode: ForwardBatch skips the derivatives
+// only BackwardBatch would read.
 func (l *ActivationLayer) SetInference(v bool) { l.infer = v }
-
-// Forward implements Layer.
-func (l *ActivationLayer) Forward(x []float64) []float64 {
-	if !l.infer {
-		copy(l.x, x)
-	}
-	for i, v := range x {
-		l.y[i] = l.Act.Value(v)
-	}
-	return l.y
-}
-
-// Backward implements Layer.
-func (l *ActivationLayer) Backward(gradOut []float64) []float64 {
-	for i, g := range gradOut {
-		l.gin[i] = g * l.Act.Deriv(l.x[i], l.y[i])
-	}
-	return l.gin
-}
 
 // Params implements Layer.
 func (l *ActivationLayer) Params() []*Param { return nil }
@@ -261,9 +199,8 @@ func (l *ActivationLayer) Spec() LayerSpec {
 // axis independently at every position (Table 1's layer 6).
 type SoftmaxLayer struct {
 	groups, width int // groups x width = total size; softmax within each width-sized row
-	y, gin        []float64
 
-	by, bgin []float64 // batched-path caches
+	by, bgin []float64 // forward/backward caches
 }
 
 // NewSoftmax returns a softmax layer.
@@ -274,45 +211,14 @@ func (l *SoftmaxLayer) Kind() string { return "softmax" }
 
 // Build implements Layer.
 func (l *SoftmaxLayer) Build(_ *rng.Source, inputShape []int) ([]int, error) {
-	n := shapeLen(inputShape)
 	if len(inputShape) == 2 {
 		l.groups, l.width = inputShape[0], inputShape[1]
 	} else {
-		l.groups, l.width = 1, n
+		l.groups, l.width = 1, shapeLen(inputShape)
 	}
-	l.y = make([]float64, n)
-	l.gin = make([]float64, n)
 	out := make([]int, len(inputShape))
 	copy(out, inputShape)
 	return out, nil
-}
-
-// Forward implements Layer.
-func (l *SoftmaxLayer) Forward(x []float64) []float64 {
-	for g := 0; g < l.groups; g++ {
-		lo, hi := g*l.width, (g+1)*l.width
-		Softmax(l.y[lo:hi], x[lo:hi])
-	}
-	return l.y
-}
-
-// Backward implements Layer.
-func (l *SoftmaxLayer) Backward(gradOut []float64) []float64 {
-	// per group: dL/dx_i = y_i * (g_i - Σ_j g_j y_j)
-	for g := 0; g < l.groups; g++ {
-		lo, hi := g*l.width, (g+1)*l.width
-		y := l.y[lo:hi]
-		grad := gradOut[lo:hi]
-		dot := 0.0
-		for i, gv := range grad {
-			dot += gv * y[i]
-		}
-		gin := l.gin[lo:hi]
-		for i, gv := range grad {
-			gin[i] = y[i] * (gv - dot)
-		}
-	}
-	return l.gin
 }
 
 // Params implements Layer.
@@ -342,12 +248,6 @@ func (l *Reshape) Build(_ *rng.Source, inputShape []int) ([]int, error) {
 	return out, nil
 }
 
-// Forward implements Layer.
-func (l *Reshape) Forward(x []float64) []float64 { return x }
-
-// Backward implements Layer.
-func (l *Reshape) Backward(gradOut []float64) []float64 { return gradOut }
-
 // Params implements Layer.
 func (l *Reshape) Params() []*Param { return nil }
 
@@ -370,12 +270,6 @@ func (l *Flatten) Build(_ *rng.Source, inputShape []int) ([]int, error) {
 	return []int{shapeLen(inputShape)}, nil
 }
 
-// Forward implements Layer.
-func (l *Flatten) Forward(x []float64) []float64 { return x }
-
-// Backward implements Layer.
-func (l *Flatten) Backward(gradOut []float64) []float64 { return gradOut }
-
 // Params implements Layer.
 func (l *Flatten) Params() []*Param { return nil }
 
@@ -388,13 +282,12 @@ func (l *Flatten) Spec() LayerSpec { return LayerSpec{Type: "flatten"} }
 type Dropout struct {
 	Rate float64
 
-	src      *rng.Source
+	width    int         // elements per row
+	src      *rng.Source // build-time stream: PredictWithUncertainty draws its row seeds from it
 	training bool
-	mask     []float64
-	y, gin   []float64
 
-	batchSrcs       []*rng.Source // one mask stream per sample of the next batched forward
-	bmask, by, bgin []float64     // batched-path caches
+	batchSrcs       []*rng.Source // one mask stream per sample of the next training forward
+	bmask, by, bgin []float64     // forward/backward caches
 	maskN           int           // batch size of bmask's masks, 0 when none
 }
 
@@ -409,11 +302,10 @@ func (l *Dropout) Build(src *rng.Source, inputShape []int) ([]int, error) {
 	if l.Rate < 0 || l.Rate >= 1 {
 		return nil, fmt.Errorf("nn: dropout rate must be in [0,1), got %g", l.Rate)
 	}
-	n := shapeLen(inputShape)
+	l.width = shapeLen(inputShape)
+	// The split also advances the build stream, so every later layer's
+	// initial weights depend on it.
 	l.src = src.Split()
-	l.mask = make([]float64, n)
-	l.y = make([]float64, n)
-	l.gin = make([]float64, n)
 	out := make([]int, len(inputShape))
 	copy(out, inputShape)
 	return out, nil
@@ -421,42 +313,6 @@ func (l *Dropout) Build(src *rng.Source, inputShape []int) ([]int, error) {
 
 // SetTraining toggles training mode.
 func (l *Dropout) SetTraining(training bool) { l.training = training }
-
-// Reseed replaces the mask stream with a fresh deterministic source.
-// Reseeding before each sample's Forward draws the masks a batched
-// training step draws from its per-sample streams (reseedDropoutBatch).
-func (l *Dropout) Reseed(src *rng.Source) { l.src = src }
-
-// Forward implements Layer.
-func (l *Dropout) Forward(x []float64) []float64 {
-	if !l.training || l.Rate == 0 {
-		// Identity outside training: pass the input through without the
-		// defensive copy (values are unchanged either way).
-		return x
-	}
-	keep := 1 - l.Rate
-	inv := 1 / keep
-	for i, v := range x {
-		if l.src.Float64() < keep {
-			l.mask[i] = inv
-		} else {
-			l.mask[i] = 0
-		}
-		l.y[i] = v * l.mask[i]
-	}
-	return l.y
-}
-
-// Backward implements Layer.
-func (l *Dropout) Backward(gradOut []float64) []float64 {
-	if !l.training || l.Rate == 0 {
-		return gradOut
-	}
-	for i, g := range gradOut {
-		l.gin[i] = g * l.mask[i]
-	}
-	return l.gin
-}
 
 // Params implements Layer.
 func (l *Dropout) Params() []*Param { return nil }
@@ -470,10 +326,10 @@ type trainingAware interface {
 	SetTraining(bool)
 }
 
-// inferenceAware is implemented by layers that can skip the input snapshots
-// Backward would need when the caller promises a pure forward pass (Predict,
-// PredictBatch, the evaluate helpers). Outputs are unchanged; only the
-// defensive copies disappear.
+// inferenceAware is implemented by layers that can skip the work only
+// BackwardBatch reads when the caller promises a pure forward pass
+// (PredictBatch, the evaluators, PredictWithUncertainty). Outputs are
+// unchanged.
 type inferenceAware interface {
 	SetInference(bool)
 }

@@ -7,10 +7,11 @@ import (
 	"specml/internal/tensor/pool"
 )
 
-// Batched LSTM kernels. The per-sample Forward computes, for every timestep
-// and gate row, one scalar chain: bias, then the x·Wx products in ascending
-// feature order, then the h·Wh products in ascending unit order. The batched
-// path reproduces that chain exactly with two GEMMs per element:
+// Batched LSTM kernels. The per-sample reference (oracle_test.go) computes,
+// for every timestep and gate row, one scalar chain: bias, then the x·Wx
+// products in ascending feature order, then the h·Wh products in ascending
+// unit order. The batched path reproduces that chain exactly with two GEMMs
+// per element:
 //
 //  1. the input projection for ALL samples and timesteps at once — the gate
 //     block is prefilled with the bias and one GemmNT over the time-major
@@ -26,8 +27,8 @@ import (
 // term for term. All scratch is grow-only: steady-state batches allocate
 // nothing.
 
-// ForwardBatch implements Layer: bit-identical to looping Forward over
-// the n rows, per the single-accumulator ascending-k contract above.
+// ForwardBatch implements Layer: bit-identical to the per-sample reference
+// over the n rows, per the single-accumulator ascending-k contract above.
 func (l *LSTM) ForwardBatch(x []float64, n int) []float64 {
 	u, fts := l.Units, l.features
 	rows := n * l.steps
@@ -82,10 +83,10 @@ func lstmGateBlock(g, h, cNew, cPrev []float64, n, u int) {
 		cn := cNew[s*u : (s+1)*u]
 		cp := cPrev[s*u : (s+1)*u]
 		for j := 0; j < u; j++ {
-			i := sigmoid(gr[j])
-			f := sigmoid(gr[u+j])
+			i := sigmoidAct{}.Value(gr[j])
+			f := sigmoidAct{}.Value(gr[u+j])
 			gg := math.Tanh(gr[2*u+j])
-			o := sigmoid(gr[3*u+j])
+			o := sigmoidAct{}.Value(gr[3*u+j])
 			gr[j], gr[u+j], gr[2*u+j], gr[3*u+j] = i, f, gg, o
 			cn[j] = f*cp[j] + i*gg
 			hr[j] = o * math.Tanh(cn[j])
@@ -96,10 +97,11 @@ func lstmGateBlock(g, h, cNew, cPrev []float64, n, u int) {
 // BackwardBatch implements Layer (batched BPTT). The t-descending sweep
 // computes the gate gradients elementwise and propagates dh/dx through
 // Gemm, which adds in the per-sample loop's gate order. Parameter
-// gradients must arrive in the order n sequential Backward calls produce —
-// (sample ascending, timestep DESCENDING) — which is not the row order of
-// the t-major gate-gradient block, so after the sweep one GemmTN per weight
-// matrix takes the cached gate gradients' rows in exactly that order. Under
+// gradients must arrive in the order n sequential per-sample backward
+// passes produce — (sample ascending, timestep DESCENDING) — which is not
+// the row order of the t-major gate-gradient block, so after the sweep one
+// GemmTN per weight matrix takes the cached gate gradients' rows in exactly
+// that order. Under
 // kernel sharding the dx GEMM splits by sample and the weight gradients by
 // 4-row gate group; the recurrent dh GEMM (n x u x 4u) stays serial.
 func (l *LSTM) BackwardBatch(gradOut []float64, n int) []float64 {
@@ -187,9 +189,9 @@ func (l *LSTM) inputGradStep(t, n, lo, hi int) {
 }
 
 // gradOrder returns the rows of the time-major blocks in the order n
-// sequential Backward calls add their parameter gradients: sample
-// ascending, timestep descending. It is built once per batch size, so a
-// training step allocates nothing.
+// sequential per-sample backward passes add their parameter gradients:
+// sample ascending, timestep descending. It is built once per batch size,
+// so a training step allocates nothing.
 func (l *LSTM) gradOrder(n int) []int {
 	if l.borderN != n || len(l.border) != n*l.steps {
 		l.border = pool.GrowInts(l.border, n*l.steps)
@@ -211,7 +213,7 @@ func (l *LSTM) gradOrder(n int) []int {
 // s's gate gradients at timestep t, with its input in row q of bxT and its
 // previous hidden state in row q of bhs, so each weight gradient is one
 // GemmTN over those rows; every element receives its products in the
-// order n sequential Backward calls add them.
+// order n sequential per-sample backward passes add them.
 func (l *LSTM) paramGradRows(n int, order []int, r0, r1 int) {
 	g, u, fts := 4*l.Units, l.Units, l.features
 	k := n * l.steps

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"math"
 	"testing"
 
 	"specml/internal/rng"
@@ -10,7 +9,7 @@ import (
 // TestLSTMBatchBitIdentical pins the tentpole contract on the recurrent
 // kernels across the full batch x timestep grid: ForwardBatch/BackwardBatch
 // are bitwise identical — outputs, input gradients and accumulated
-// parameter gradients — to looping Forward/Backward over the rows.
+// parameter gradients — to the per-sample reference over the rows.
 func TestLSTMBatchBitIdentical(t *testing.T) {
 	const features, units = 4, 6
 	for _, steps := range []int{1, 5, 9} {
@@ -21,6 +20,7 @@ func TestLSTMBatchBitIdentical(t *testing.T) {
 					if _, err := l.Build(rng.New(17), []int{steps, features}); err != nil {
 						t.Fatalf("build: %v", err)
 					}
+					randomizeBiases(l.Params(), 17)
 					return l
 				}
 				batch, ref := build(), build()
@@ -34,14 +34,7 @@ func TestLSTMBatchBitIdentical(t *testing.T) {
 				yb := batch.ForwardBatch(xb, n)
 				ginb := batch.BackwardBatch(gb, n)
 
-				refY := make([]float64, n*units)
-				refGin := make([]float64, n*inLen)
-				for s := 0; s < n; s++ {
-					y := ref.Forward(xb[s*inLen : (s+1)*inLen])
-					copy(refY[s*units:(s+1)*units], y)
-					gin := ref.Backward(gb[s*units : (s+1)*units])
-					copy(refGin[s*inLen:(s+1)*inLen], gin)
-				}
+				refY, refGin := refRows(ref, xb, gb, n, nil)
 
 				expectBits(t, "forward", yb, refY, false)
 				expectBits(t, "backward", ginb, refGin, false)
@@ -54,72 +47,19 @@ func TestLSTMBatchBitIdentical(t *testing.T) {
 	}
 }
 
-// TestLSTMBatchGradcheck verifies the batched BPTT path against central
-// finite differences of the batched loss, through a full monitor-shaped
+// TestLSTMBatchGradcheck verifies the batched BPTT path over a three-row
+// block against central finite differences, through a full monitor-shaped
 // stack (reshape -> LSTM -> dense head).
 func TestLSTMBatchGradcheck(t *testing.T) {
-	m := NewModel().
-		Add(NewReshape(5, 4)).
-		Add(NewLSTM(6)).
-		Add(NewDense(3))
-	if err := m.Build(rng.New(23), 20); err != nil {
-		t.Fatal(err)
-	}
-	const n = 3
-	inLen, outLen := m.InputLen(), m.OutputLen()
-	src := rng.New(24)
-	xb := make([]float64, n*inLen)
-	tb := make([]float64, n*outLen)
-	for i := range xb {
-		xb[i] = src.Normal(0, 1)
-	}
-	for i := range tb {
-		tb[i] = src.Normal(0, 1)
-	}
-	batchLoss := func() float64 {
-		yb := m.forwardBatch(xb, n)
-		l := 0.0
-		for i, v := range yb {
-			d := v - tb[i]
-			l += 0.5 * d * d
-		}
-		return l
-	}
-
-	m.SetTraining(false)
-	m.ZeroGrad()
-	yb := m.forwardBatch(xb, n)
-	gb := make([]float64, n*outLen)
-	for i, v := range yb {
-		gb[i] = v - tb[i]
-	}
-	m.backwardBatch(gb, n)
-
-	const eps = 1e-5
-	maxRel := 0.0
-	for _, p := range m.Params() {
-		for i := range p.Data {
-			orig := p.Data[i]
-			p.Data[i] = orig + eps
-			lp := batchLoss()
-			p.Data[i] = orig - eps
-			lm := batchLoss()
-			p.Data[i] = orig
-			numeric := (lp - lm) / (2 * eps)
-			den := math.Max(math.Abs(p.Grad[i])+math.Abs(numeric), 1e-4)
-			if r := math.Abs(p.Grad[i]-numeric) / den; r > maxRel {
-				maxRel = r
-			}
-		}
-	}
-	if maxRel > 2e-4 {
-		t.Fatalf("batched BPTT gradcheck max relative error %.3e", maxRel)
+	m := buildModel(t, 23, []int{20}, NewReshape(5, 4), NewLSTM(6), NewDense(3))
+	if r := numericalGradCheck(t, m, MSE, 24, 3); r > gradTol {
+		t.Fatalf("batched BPTT gradcheck max relative error %.3e", r)
 	}
 }
 
 // TestHybridStackFullyBatchable pins the paper's hybrid future-work stack
 // (TimeDistributed feature selector into an LSTM) on the batched engine:
-// PredictBatch stays bitwise equal to Predict.
+// PredictBatch and Predict stay bitwise equal to the per-sample reference.
 func TestHybridStackFullyBatchable(t *testing.T) {
 	m := NewModel().
 		Add(NewReshape(6, 10)).
@@ -137,7 +77,8 @@ func TestHybridStackFullyBatchable(t *testing.T) {
 	}
 	want := make([][]float64, len(rows))
 	for i, r := range rows {
-		want[i] = m.Predict(r)
+		want[i] = refPredict(m, r)
+		expectBits(t, "predict "+itoa(i), m.Predict(r), want[i], false)
 	}
 	for _, workers := range []int{1, 3} {
 		got, err := m.PredictBatch(rows, workers)

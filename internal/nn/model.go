@@ -98,45 +98,15 @@ func (m *Model) OutputLen() int { return shapeLen(m.outputShape) }
 // Layers returns the layer stack.
 func (m *Model) Layers() []Layer { return m.layers }
 
-// Forward runs one sample through the network and returns the output
-// buffer, which is owned by the model and overwritten by the next call.
-func (m *Model) Forward(x []float64) []float64 {
-	if !m.built {
-		panic("nn: Forward before Build")
-	}
-	if len(x) != m.InputLen() {
-		panic(fmt.Sprintf("nn: input length %d, model expects %d", len(x), m.InputLen()))
-	}
-	for _, l := range m.layers {
-		x = l.Forward(x)
-	}
-	return x
-}
-
-// Predict runs Forward with training-mode layers (dropout) disabled and
-// copies the output into a fresh slice. The pass runs in inference mode:
-// layers skip the input snapshots only Backward would read.
+// Predict returns the inference output for one sample in a fresh slice: a
+// one-row PredictBatch. It panics if the model is not built or x has the
+// wrong length.
 func (m *Model) Predict(x []float64) []float64 {
-	m.SetTraining(false)
-	m.setInference(true)
-	out := m.Forward(x)
-	res := make([]float64, len(out))
-	copy(res, out)
-	m.setInference(false)
-	return res
-}
-
-// Backward propagates dLoss/dOutput through the stack, accumulating
-// parameter gradients. It must follow a Forward call for the same sample.
-func (m *Model) Backward(gradOut []float64) []float64 {
 	if !m.built {
-		panic("nn: Backward before Build")
+		panic("nn: Predict before Build")
 	}
-	g := gradOut
-	for i := len(m.layers) - 1; i >= 0; i-- {
-		g = m.layers[i].Backward(g)
-	}
-	return g
+	out, _ := m.PredictBatch([][]float64{x}, 1)
+	return out[0]
 }
 
 // Params returns all trainable parameters in layer order. After Build the
@@ -177,9 +147,9 @@ func (m *Model) SetTraining(training bool) {
 	}
 }
 
-// setInference toggles snapshot-free forward passes on layers that support
-// them. Callers must restore the flag to false before any Forward whose
-// caches a later Backward will consume.
+// setInference toggles derivative-free forward passes on layers that
+// support them. Callers must restore the flag to false before any
+// ForwardBatch whose caches a later BackwardBatch will consume.
 func (m *Model) setInference(v bool) {
 	for _, l := range m.layers {
 		if ia, ok := l.(inferenceAware); ok {
@@ -228,11 +198,11 @@ func (m *Model) hasDropout() bool {
 // PredictBatch runs inference over all rows of x, returning one freshly
 // allocated prediction per row. The rows are packed into one block and
 // forwarded once through the batched kernels (im2col + blocked GEMM),
-// which are bit-identical to calling Predict row by row. The convolution,
-// activation and LSTM kernels shard each call over workers goroutines
-// (0 = all cores, at most one per row), exactly as they do inside a fit,
-// so the result does not depend on workers. Steady-state calls allocate
-// only the returned slices.
+// which are bit-identical to predicting the rows one at a time. The
+// convolution, activation and LSTM kernels shard each call over workers
+// goroutines (0 = all cores, at most one per row), exactly as they do
+// inside a fit, so the result does not depend on workers. Steady-state
+// calls allocate only the returned slices.
 //
 // PredictBatch runs on the model's own layer caches, so a model serves one
 // PredictBatch at a time: the serve registry calls it from the one

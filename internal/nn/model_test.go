@@ -32,9 +32,9 @@ func TestModelShapeInference(t *testing.T) {
 	if !shapeEq(got, wantConv4) {
 		t.Fatalf("conv4 shape = %v, want %v", got, wantConv4)
 	}
-	out := m.Forward(make([]float64, 200))
+	out := m.Predict(make([]float64, 200))
 	if len(out) != 8 {
-		t.Fatalf("forward output len = %d", len(out))
+		t.Fatalf("predict output len = %d", len(out))
 	}
 }
 
@@ -62,7 +62,7 @@ func TestModelForwardBeforeBuildPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewModel().Add(NewDense(2)).Forward([]float64{1})
+	NewModel().Add(NewDense(2)).Predict([]float64{1})
 }
 
 func TestModelInputLengthPanics(t *testing.T) {
@@ -72,7 +72,7 @@ func TestModelInputLengthPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	m.Forward([]float64{1, 2})
+	m.Predict([]float64{1, 2})
 }
 
 func TestNumParamsTable1(t *testing.T) {
@@ -269,15 +269,14 @@ func TestDropoutTrainingVsInference(t *testing.T) {
 	for i := range x {
 		x[i] = 1
 	}
-	m.SetTraining(false)
-	out := m.Forward(x)
-	for _, v := range out {
+	for _, v := range m.Predict(x) {
 		if v != 1 {
 			t.Fatal("inference dropout must be identity")
 		}
 	}
 	m.SetTraining(true)
-	out = m.Forward(x)
+	m.reseedDropoutBatch([]uint64{1})
+	out := m.forwardBatch(x, 1)
 	zeros := 0
 	for _, v := range out {
 		switch v {

@@ -167,7 +167,7 @@ func TestShardStacksReachShards(t *testing.T) {
 		expect(fmt.Sprintf("conv %d weight gradient", i), c.Filters, 8*work)
 		expect(fmt.Sprintf("conv %d weight gradient, one sample", i), c.Filters, work)
 	}
-	act := len(conv[2].(*ActivationLayer).y)
+	act := conv[2].(*ActivationLayer).width
 	expect("activation 2 forward", 8, 8*act*activationForwardWork)
 	expect("activation 2 backward", 8, 8*act*activationBackwardWork)
 	l := shardLSTMNet(t).Layers()[0].(*LSTM)
@@ -273,10 +273,11 @@ func kernelWorkers(m *Model) []int {
 	return ws
 }
 
-// TestPredictBatchMatchesPredict checks that batched inference returns
-// exactly what sequential Predict does, for several worker counts, on a
-// conv stack, an NMR-CNN stack and an LSTM stack; that PredictBatch leaves
-// every kernel serial; and that it allocates only what it returns.
+// TestPredictBatchMatchesPredict checks that Predict and batched inference
+// return exactly what the per-sample reference does, for several worker
+// counts, on a conv stack, an NMR-CNN stack and an LSTM stack; that
+// PredictBatch leaves every kernel serial; and that it allocates only what
+// it returns.
 func TestPredictBatchMatchesPredict(t *testing.T) {
 	const rows = 9
 	stacks := []struct {
@@ -293,7 +294,8 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 			x, _ := parallelFitData(rows, m.InputLen(), 3, 9)
 			want := make([][]float64, len(x))
 			for i := range x {
-				want[i] = m.Predict(x[i])
+				want[i] = refPredict(m, x[i])
+				expectBits(t, fmt.Sprintf("predict sample %d", i), m.Predict(x[i]), want[i], false)
 			}
 			for _, workers := range []int{1, 2, 3, 8, 0} {
 				got, err := m.PredictBatch(x, workers)

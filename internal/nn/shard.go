@@ -8,9 +8,10 @@ import "specml/internal/parallel"
 // shards — samples, GEMM rows, conv filters, LSTM gate rows — so each
 // element is still produced by its single ascending-k accumulator and the
 // results are bit-identical for any worker count. PredictBatch sets the
-// same count from its workers argument for the length of one call.
-// Everywhere else (EvaluateMAE, the chunked evaluators outside a fit) the
-// count is one and the kernels run serially on the caller's goroutine.
+// same count from its workers argument for the length of one call (Predict
+// passes one). Outside those two — the evaluators and
+// PredictWithUncertainty after or without a fit — the count is one and the
+// kernels run serially on the caller's goroutine.
 
 // shardMinWork is the least work, in multiply-adds, one shard must
 // receive; smaller calls run serially. Waking an idle core for a fork/join

@@ -209,9 +209,9 @@ func TestFitSourceMetrics(t *testing.T) {
 	}
 }
 
-// TestEvaluateSourceChunked pins the chunked streaming evaluators: for any
-// chunk size, EvaluateLossSource and EvaluateMAESource match their
-// materialized counterparts bit for bit. The seeds include totals whose
+// TestEvaluateSourceChunked pins the evaluators: EvaluateLoss, EvaluateMAE
+// and, for any chunk size, EvaluateLossSource and EvaluateMAESource match
+// the per-sample reference bit for bit. The seeds include totals whose
 // mean differs in the last bit between total/n and total*(1/n).
 func TestEvaluateSourceChunked(t *testing.T) {
 	const n = 23
@@ -228,29 +228,34 @@ func TestEvaluateSourceChunked(t *testing.T) {
 		if err := m.Build(rng.New(seed), 12); err != nil {
 			t.Fatal(err)
 		}
-		wantLoss := m.EvaluateLoss(d.X, d.Y, MSE)
-		wantMean, wantPer := m.EvaluateMAE(d.X, d.Y)
-		for _, chunk := range []int{0, 1, 5, n, 50} {
-			src := streamCorpus(t, n, seed)
-			gotLoss, err := m.EvaluateLossSource(src, MSE, chunk)
-			if err != nil {
-				t.Fatal(err)
+		wantLoss, wantMean, wantPer := refEvaluate(m, d.X, d.Y, MSE)
+		check := func(what string, loss, mean float64, per []float64) {
+			t.Helper()
+			if loss != wantLoss {
+				t.Fatalf("seed=%d %s: loss %x, want %x (bitwise)", seed, what, loss, wantLoss)
 			}
-			if gotLoss != wantLoss {
-				t.Fatalf("seed=%d chunk=%d: loss %x, want %x (bitwise)", seed, chunk, gotLoss, wantLoss)
-			}
-			gotMean, gotPer, err := m.EvaluateMAESource(src, chunk)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotMean != wantMean {
-				t.Fatalf("seed=%d chunk=%d: MAE %v, want %v (bitwise)", seed, chunk, gotMean, wantMean)
+			if mean != wantMean {
+				t.Fatalf("seed=%d %s: MAE %v, want %v (bitwise)", seed, what, mean, wantMean)
 			}
 			for j := range wantPer {
-				if gotPer[j] != wantPer[j] {
-					t.Fatalf("seed=%d chunk=%d: per-output MAE %d differs bitwise", seed, chunk, j)
+				if per[j] != wantPer[j] {
+					t.Fatalf("seed=%d %s: per-output MAE %d differs bitwise", seed, what, j)
 				}
 			}
+		}
+		mean, per := m.EvaluateMAE(d.X, d.Y)
+		check("in memory", m.EvaluateLoss(d.X, d.Y, MSE), mean, per)
+		for _, chunk := range []int{0, 1, 5, n, 50} {
+			src := streamCorpus(t, n, seed)
+			loss, err := m.EvaluateLossSource(src, MSE, chunk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mean, per, err := m.EvaluateMAESource(src, chunk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("chunk="+itoa(chunk), loss, mean, per)
 		}
 	}
 	// width mismatch is an error, not a panic
@@ -260,5 +265,33 @@ func TestEvaluateSourceChunked(t *testing.T) {
 	}
 	if _, err := m.EvaluateLossSource(streamCorpus(t, n, 29), MSE, 4); err == nil {
 		t.Fatal("mismatched source widths must error")
+	}
+}
+
+// TestEvaluateKeepsCachesBounded pins the evaluators' chunk: the layer
+// caches are grow-only, so EvaluateMAE and EvaluateLoss over a large set
+// must size them for one chunk of at most 32 rows, not for the whole set.
+func TestEvaluateKeepsCachesBounded(t *testing.T) {
+	const rows, width = 200, 40
+	m := NewModel().
+		Add(NewReshape(width, 1)).
+		Add(NewConv1D(4, 5, 2)).
+		Add(NewActivation(ReLU)).
+		Add(NewFlatten()).
+		Add(NewDense(3))
+	if err := m.Build(rng.New(71), width); err != nil {
+		t.Fatal(err)
+	}
+	src := rng.New(72)
+	x, y := make([][]float64, rows), make([][]float64, rows)
+	for i := range x {
+		x[i], y[i] = make([]float64, width), make([]float64, 3)
+		fillBatch(src, x[i])
+	}
+	m.EvaluateMAE(x, y)
+	m.EvaluateLoss(x, y, MSE)
+	c := m.layers[1].(*Conv1D)
+	if held := cap(c.bcol) / (c.outLen * c.Kernel * c.inCh); held > 32 {
+		t.Fatalf("conv im2col cache holds %d rows after evaluating %d, want at most 32", held, rows)
 	}
 }

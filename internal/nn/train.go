@@ -193,79 +193,96 @@ func clipGradNorm(params []*Param, maxNorm float64) {
 // dropout layers active, returning per-output mean and standard deviation.
 // The model must contain at least one Dropout layer for the std to be
 // meaningful ("real-time estimates of error margins" — the paper's
-// future-work direction for online monitoring).
+// future-work direction for online monitoring). The n passes run as one
+// batch of n copies of x, each row with its own mask streams, seeded from
+// the first dropout layer's build-time stream, so repeated calls draw
+// fresh masks. Without active dropout the mean equals Predict(x) bit for
+// bit and the std is zero.
 func (m *Model) PredictWithUncertainty(x []float64, n int) (mean, std []float64, err error) {
 	if n < 2 {
 		return nil, nil, fmt.Errorf("nn: need at least 2 MC samples, got %d", n)
 	}
-	m.SetTraining(true)
-	defer m.SetTraining(false)
-	k := m.OutputLen()
-	mean = make([]float64, k)
-	sq := make([]float64, k)
+	if !m.built {
+		return nil, nil, fmt.Errorf("nn: PredictWithUncertainty before Build")
+	}
+	m.checkBatchInputs([][]float64{x})
+	inLen, k := m.InputLen(), m.OutputLen()
+	xb := batchScratch.Get(n * inLen)
+	defer batchScratch.Put(xb)
 	for i := 0; i < n; i++ {
-		out := m.Forward(x)
-		for j, v := range out {
-			mean[j] += v
-			sq[j] += v * v
+		copy(xb[i*inLen:(i+1)*inLen], x)
+	}
+	for _, l := range m.layers {
+		if d, ok := l.(*Dropout); ok {
+			seeds := make([]uint64, n)
+			for i := range seeds {
+				seeds[i] = d.src.Uint64()
+			}
+			m.reseedDropoutBatch(seeds)
+			break
 		}
 	}
+	m.SetTraining(true)
+	defer m.SetTraining(false)
+	m.setInference(true)
+	defer m.setInference(false)
+	out := m.forwardBatch(xb, n)
+	// Welford's running mean and squared deviations: n equal rows give
+	// their value back exactly and a zero spread.
+	mean = make([]float64, k)
 	std = make([]float64, k)
-	inv := 1 / float64(n)
-	for j := range mean {
-		mean[j] *= inv
-		variance := sq[j]*inv - mean[j]*mean[j]
-		if variance < 0 {
-			variance = 0
+	for i := 0; i < n; i++ {
+		for j, v := range out[i*k : (i+1)*k] {
+			d := v - mean[j]
+			mean[j] += d / float64(i+1)
+			std[j] += d * (v - mean[j])
 		}
-		std[j] = math.Sqrt(variance)
+	}
+	for j := range std {
+		std[j] = math.Sqrt(std[j] / float64(n))
 	}
 	return mean, std, nil
 }
 
-// EvaluateLoss returns the mean loss over a dataset.
+// evalChunk is the row count the materialized evaluators forward at once.
+// The layer caches are grow-only, so a chunk as wide as the whole set would
+// keep caches that size alive through the next fit; 32 is the training
+// batch size of the paper's stacks, whose caches a fit sizes anyway.
+const evalChunk = 32
+
+// EvaluateLoss returns the mean loss over a dataset. It panics on rows
+// whose widths do not match the model or each other.
 func (m *Model) EvaluateLoss(x, y [][]float64, loss Loss) float64 {
 	if loss == nil {
 		loss = MAE
 	}
-	m.SetTraining(false)
-	m.setInference(true)
-	defer m.setInference(false)
-	total := 0.0
-	for i := range x {
-		out := m.Forward(x[i])
-		total += loss.Loss(out, y[i])
-	}
-	if len(x) == 0 {
-		return 0
-	}
-	return total / float64(len(x))
+	total, _ := m.evaluateRows(x, y, loss, false)
+	return total
 }
 
 // EvaluateMAE returns the overall mean absolute error and the per-output
 // mean absolute errors over a dataset — the per-substance error bars of
-// Figs. 5-7.
+// Figs. 5-7. It panics on malformed rows like EvaluateLoss.
 func (m *Model) EvaluateMAE(x, y [][]float64) (mean float64, perOutput []float64) {
+	return m.evaluateRows(x, y, nil, true)
+}
+
+// evaluateRows runs evaluateSource over in-memory rows in evalChunk-row
+// chunks.
+func (m *Model) evaluateRows(x, y [][]float64, loss Loss, wantMAE bool) (float64, []float64) {
 	m.SetTraining(false)
 	if len(x) == 0 {
 		return 0, nil
 	}
-	m.setInference(true)
-	defer m.setInference(false)
-	perOutput = make([]float64, m.OutputLen())
-	for i := range x {
-		out := m.Forward(x[i])
-		for j, p := range out {
-			perOutput[j] += math.Abs(p - y[i][j])
-		}
+	src, err := dataset.NewInMemory(x, y)
+	if err != nil {
+		panic(fmt.Sprintf("nn: %v", err))
 	}
-	inv := 1 / float64(len(x))
-	sum := 0.0
-	for j := range perOutput {
-		perOutput[j] *= inv
-		sum += perOutput[j]
+	v, perOutput, err := m.evaluateSource(src, evalChunk, loss, wantMAE)
+	if err != nil {
+		panic(err)
 	}
-	return sum / float64(len(perOutput)), perOutput
+	return v, perOutput
 }
 
 // EvaluateMSE returns the overall mean squared error over a dataset.
@@ -277,8 +294,8 @@ func (m *Model) EvaluateMSE(x, y [][]float64) float64 {
 // fixed-size chunks: each chunk is rendered into a pooled scratch block,
 // forwarded through the batched kernels and released, so peak memory holds
 // one chunk regardless of src.Len(). The per-sample losses are summed in
-// index order and the batched forward is bit-identical to per-sample
-// Forward, so the result equals EvaluateLoss(Materialize(src)) bit for bit. chunk <= 0 means a single
+// index order, so the result does not depend on the chunk size and equals
+// EvaluateLoss(Materialize(src)) bit for bit. chunk <= 0 means a single
 // chunk (only sensible for small sources).
 func (m *Model) EvaluateLossSource(src dataset.Source, loss Loss, chunk int) (float64, error) {
 	if loss == nil {
@@ -297,8 +314,8 @@ func (m *Model) EvaluateMAESource(src dataset.Source, chunk int) (mean float64, 
 
 // evaluateSource is the shared chunked-evaluation driver. With wantMAE it
 // accumulates per-output absolute errors (EvaluateMAE semantics); otherwise
-// it sums loss.Loss per sample. Both accumulate in ascending sample order —
-// the same addition sequence as the materialized evaluators.
+// it sums loss.Loss per sample. Both accumulate in ascending sample order,
+// whatever the chunk size.
 func (m *Model) evaluateSource(src dataset.Source, chunk int, loss Loss, wantMAE bool) (float64, []float64, error) {
 	n := src.Len()
 	if n == 0 {
@@ -357,7 +374,7 @@ func (m *Model) evaluateSource(src dataset.Source, chunk int, loss Loss, wantMAE
 	}
 	if !wantMAE {
 		// total / n, not total * (1/n): the two differ in the last bit for
-		// some totals, and EvaluateLoss divides.
+		// some totals, and the mean loss is defined as the division.
 		return total / float64(n), nil, nil
 	}
 	inv := 1 / float64(n)

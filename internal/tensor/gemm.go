@@ -1,3 +1,7 @@
+// Package tensor implements the small dense linear-algebra substrate used
+// by the neural-network framework: BLAS-like kernels over flat row-major
+// []float64: the batched GEMMs, the im2col lowering and the Adam update.
+// It deliberately avoids reflection and interface-based dispatch.
 package tensor
 
 import "fmt"
@@ -7,7 +11,8 @@ import "fmt"
 // contract: every C element is produced by a single scalar accumulator that
 // starts from the current C value and adds its k products in ascending k
 // order. That contract is what makes the batched im2col+GEMM forward and
-// backward passes bit-identical to the per-sample loops in internal/nn —
+// backward passes bit-identical to the per-sample reference loops in
+// internal/nn's tests —
 // tiling and register blocking only reorder *which* elements are computed
 // when, never the addition sequence within one element.
 //

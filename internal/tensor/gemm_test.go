@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"testing"
+	"testing/quick"
 
 	"specml/internal/rng"
 )
@@ -250,4 +251,43 @@ func TestCol2ImAccumulates(t *testing.T) {
 			t.Fatalf("dst[%d] = %g, want %g", i, dst[i], want[i])
 		}
 	}
+}
+
+// Property: (Wᵀy)·x == y·(Wx) — the adjoint identity backprop relies on,
+// with Wx as a one-row GemmNT and Wᵀy as a one-row Gemm.
+func TestAdjointIdentityProperty(t *testing.T) {
+	src := rng.New(123)
+	f := func(rRaw, cRaw uint8) bool {
+		rows := int(rRaw%8) + 1
+		cols := int(cRaw%8) + 1
+		w := make([]float64, rows*cols)
+		x := make([]float64, cols)
+		y := make([]float64, rows)
+		for i := range w {
+			w[i] = src.Normal(0, 1)
+		}
+		for i := range x {
+			x[i] = src.Normal(0, 1)
+		}
+		for i := range y {
+			y[i] = src.Normal(0, 1)
+		}
+		wx := make([]float64, rows)
+		GemmNT(wx, x, w, 1, rows, cols)
+		wty := make([]float64, cols)
+		Gemm(wty, y, w, 1, cols, rows)
+		return math.Abs(dot(wty, x)-dot(y, wx)) < 1e-9
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// dot is the inner product of two equal-length vectors.
+func dot(a, b []float64) float64 {
+	s := 0.0
+	for i, v := range a {
+		s += v * b[i]
+	}
+	return s
 }

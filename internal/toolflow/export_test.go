@@ -54,7 +54,7 @@ func TestNMRHybridSpecBuilds(t *testing.T) {
 	if got := m.NumParams(); got != want {
 		t.Fatalf("hybrid params = %d, want %d", got, want)
 	}
-	out := m.Forward(make([]float64, 5*1700))
+	out := m.Predict(make([]float64, 5*1700))
 	if len(out) != 4 {
 		t.Fatalf("hybrid output len %d", len(out))
 	}
