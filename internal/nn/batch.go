@@ -605,8 +605,9 @@ type paramGradLayer interface {
 
 // backwardBatch propagates a [n x outLen] gradient block down the stack,
 // accumulating parameter gradients exactly like n sequential per-sample
-// backward passes. It stops at the lowest layer with parameters, which computes only
-// its parameter gradients: the input gradient below it has no reader.
+// backward passes. It stops at the lowest layer with parameters, which
+// computes only its parameter gradients: the input gradient below it has
+// no reader.
 func (m *Model) backwardBatch(gradOut []float64, n int) {
 	if m.firstParam < 0 {
 		return

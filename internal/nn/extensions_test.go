@@ -201,6 +201,52 @@ func TestPredictWithUncertaintyNoDropoutIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestPredictWithUncertaintyChunked pins that forwarding the Monte-Carlo
+// copies in evalChunk-row blocks gives the one-block result bit for bit and
+// leaves the layer caches at most evalChunk rows wide.
+func TestPredictWithUncertaintyChunked(t *testing.T) {
+	const n = 70
+	stack := func() *Model {
+		return buildModel(t, 46, []int{8},
+			NewDense(16), NewActivation(Tanh), NewDropout(0.4), NewDense(2))
+	}
+	x := []float64{1, -1, 0.5, 2, 0, 1, -0.5, 0.25}
+	m := stack()
+	mean, std, err := m.PredictWithUncertainty(x, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := m.layers[0].(*Dense); cap(d.by) > evalChunk*d.Out {
+		t.Fatalf("dense cache holds %d rows after %d MC passes, want at most %d", cap(d.by)/d.Out, n, evalChunk)
+	}
+	ref := stack()
+	seeds := make([]uint64, n)
+	for i := range seeds {
+		seeds[i] = ref.layers[2].(*Dropout).src.Uint64()
+	}
+	xb := make([]float64, 0, n*len(x))
+	for i := 0; i < n; i++ {
+		xb = append(xb, x...)
+	}
+	ref.reseedDropoutBatch(seeds)
+	ref.SetTraining(true)
+	ref.setInference(true)
+	out := ref.forwardBatch(xb, n)
+	wantMean, wantStd := make([]float64, 2), make([]float64, 2)
+	for i := 0; i < n; i++ {
+		for j, v := range out[i*2 : (i+1)*2] {
+			d := v - wantMean[j]
+			wantMean[j] += d / float64(i+1)
+			wantStd[j] += d * (v - wantMean[j])
+		}
+	}
+	for j := range wantStd {
+		wantStd[j] = math.Sqrt(wantStd[j] / n)
+	}
+	expectBits(t, "mean", mean, wantMean, false)
+	expectBits(t, "std", std, wantStd, false)
+}
+
 // TestPredictWithUncertaintyRateZero pins that a dropout layer with rate 0
 // draws no spread: the Monte-Carlo mean is Predict bit for bit.
 func TestPredictWithUncertaintyRateZero(t *testing.T) {

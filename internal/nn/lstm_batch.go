@@ -101,9 +101,9 @@ func lstmGateBlock(g, h, cNew, cPrev []float64, n, u int) {
 // passes produce — (sample ascending, timestep DESCENDING) — which is not
 // the row order of the t-major gate-gradient block, so after the sweep one
 // GemmTN per weight matrix takes the cached gate gradients' rows in exactly
-// that order. Under
-// kernel sharding the dx GEMM splits by sample and the weight gradients by
-// 4-row gate group; the recurrent dh GEMM (n x u x 4u) stays serial.
+// that order. Under kernel sharding the dx GEMM splits by sample and the
+// weight gradients by 4-row gate group; the recurrent dh GEMM (n x u x 4u)
+// stays serial.
 func (l *LSTM) BackwardBatch(gradOut []float64, n int) []float64 {
 	fts := l.features
 	l.bdx = pool.Grow(l.bdx, l.steps*n*fts)

@@ -105,8 +105,10 @@ func (m *Model) Predict(x []float64) []float64 {
 	if !m.built {
 		panic("nn: Predict before Build")
 	}
-	out, _ := m.PredictBatch([][]float64{x}, 1)
-	return out[0]
+	m.checkBatchInputs([][]float64{x})
+	// No layer writes to its input block, and an inference pass leaves
+	// nothing that reads it later, so the row is forwarded in place.
+	return append([]float64(nil), m.inferBlock(x, 1, 1)...)
 }
 
 // Params returns all trainable parameters in layer order. After Build the
@@ -217,9 +219,26 @@ func (m *Model) PredictBatch(x [][]float64, workers int) ([][]float64, error) {
 	}
 	m.checkBatchInputs(x)
 	inLen, outLen := m.InputLen(), m.OutputLen()
+	xb := batchScratch.Get(len(x) * inLen)
+	defer batchScratch.Put(xb)
+	for i, row := range x {
+		copy(xb[i*inLen:(i+1)*inLen], row)
+	}
+	yb := m.inferBlock(xb, len(x), workers)
+	for s := range out {
+		res := make([]float64, outLen)
+		copy(res, yb[s*outLen:(s+1)*outLen])
+		out[s] = res
+	}
+	return out, nil
+}
+
+// inferBlock forwards the n rows of xb in inference mode on up to workers
+// goroutines and returns the model-owned output block.
+func (m *Model) inferBlock(xb []float64, n, workers int) []float64 {
 	w := parallel.Resolve(workers)
-	if w > len(x) {
-		w = len(x)
+	if w > n {
+		w = n
 	}
 	// Deferred, so a panic the serve dispatcher recovers leaves the model
 	// serial and out of inference mode.
@@ -228,18 +247,7 @@ func (m *Model) PredictBatch(x [][]float64, workers int) ([][]float64, error) {
 	m.SetTraining(false)
 	m.setInference(true)
 	defer m.setInference(false)
-	xb := batchScratch.Get(len(x) * inLen)
-	defer batchScratch.Put(xb)
-	for i, row := range x {
-		copy(xb[i*inLen:(i+1)*inLen], row)
-	}
-	yb := m.forwardBatch(xb, len(x))
-	for s := range out {
-		res := make([]float64, outLen)
-		copy(res, yb[s*outLen:(s+1)*outLen])
-		out[s] = res
-	}
-	return out, nil
+	return m.forwardBatch(xb, n)
 }
 
 // CopyParamsFrom copies parameter values from other, which must have an

@@ -207,35 +207,45 @@ func (m *Model) PredictWithUncertainty(x []float64, n int) (mean, std []float64,
 	}
 	m.checkBatchInputs([][]float64{x})
 	inLen, k := m.InputLen(), m.OutputLen()
-	xb := batchScratch.Get(n * inLen)
-	defer batchScratch.Put(xb)
-	for i := 0; i < n; i++ {
-		copy(xb[i*inLen:(i+1)*inLen], x)
-	}
+	var seeds []uint64
 	for _, l := range m.layers {
 		if d, ok := l.(*Dropout); ok {
-			seeds := make([]uint64, n)
+			seeds = make([]uint64, n)
 			for i := range seeds {
 				seeds[i] = d.src.Uint64()
 			}
-			m.reseedDropoutBatch(seeds)
 			break
 		}
+	}
+	// The copies run in evalChunk-row blocks so the grow-only layer caches
+	// stay at the training batch size; every row keeps its own mask stream,
+	// so the chunking does not change the draws.
+	chunk := min(n, evalChunk)
+	xb := batchScratch.Get(chunk * inLen)
+	defer batchScratch.Put(xb)
+	for i := 0; i < chunk; i++ {
+		copy(xb[i*inLen:(i+1)*inLen], x)
 	}
 	m.SetTraining(true)
 	defer m.SetTraining(false)
 	m.setInference(true)
 	defer m.setInference(false)
-	out := m.forwardBatch(xb, n)
 	// Welford's running mean and squared deviations: n equal rows give
 	// their value back exactly and a zero spread.
 	mean = make([]float64, k)
 	std = make([]float64, k)
-	for i := 0; i < n; i++ {
-		for j, v := range out[i*k : (i+1)*k] {
-			d := v - mean[j]
-			mean[j] += d / float64(i+1)
-			std[j] += d * (v - mean[j])
+	for lo := 0; lo < n; lo += chunk {
+		hi := min(lo+chunk, n)
+		if seeds != nil {
+			m.reseedDropoutBatch(seeds[lo:hi])
+		}
+		out := m.forwardBatch(xb[:(hi-lo)*inLen], hi-lo)
+		for i := lo; i < hi; i++ {
+			for j, v := range out[(i-lo)*k : (i-lo+1)*k] {
+				d := v - mean[j]
+				mean[j] += d / float64(i+1)
+				std[j] += d * (v - mean[j])
+			}
 		}
 	}
 	for j := range std {
