@@ -43,7 +43,7 @@ func (d *Dense) BackwardBatch(gradOut []float64, n int) []float64 {
 	d.bgin = pool.Grow(d.bgin, n*d.in)
 	zero(d.bgin)
 	// dX = dY·W: per row, ascending output index like refDense.
-	tensor.Gemm(d.bgin, gradOut, d.w.Data, n, d.in, d.Out)
+	tensor.Gemm(d.bgin, gradOut, d.w.Data, n, d.in, d.Out, d.in, d.Out)
 	return d.bgin
 }
 
@@ -162,7 +162,7 @@ func (c *Conv1D) inputGradSamples(gradOut []float64, lo, hi int) {
 		r0, r1 := lo*c.outLen, hi*c.outLen
 		dcol := c.bdcol[r0*fanIn : r1*fanIn]
 		zero(dcol)
-		tensor.Gemm(dcol, gradOut[lo*oSize:hi*oSize], c.w.Data, r1-r0, fanIn, c.Filters)
+		tensor.Gemm(dcol, gradOut[lo*oSize:hi*oSize], c.w.Data, r1-r0, fanIn, c.Filters, fanIn, c.Filters)
 		for s := lo; s < hi; s++ {
 			tensor.Col2Im(c.bgin[s*inSize:(s+1)*inSize],
 				c.bdcol[s*c.outLen*fanIn:(s+1)*c.outLen*fanIn],
@@ -173,15 +173,19 @@ func (c *Conv1D) inputGradSamples(gradOut []float64, lo, hi int) {
 	// Overlapping windows: an input element collects contributions from
 	// several positions interleaved by filter; only the per-sample loop
 	// order (position ascending, then filter ascending) reproduces that
-	// addition sequence. Each window adds Σ_f g[f]·W[f] as a one-row Gemm,
-	// whose k loop runs the filters in that order.
-	for s := lo; s < hi; s++ {
-		gin := c.bgin[s*inSize : (s+1)*inSize]
-		gs := gradOut[s*oSize : (s+1)*oSize]
-		for p := 0; p < c.outLen; p++ {
-			base := p * c.Stride * c.inCh
-			tensor.Gemm(gin[base:base+fanIn], gs[p*c.Filters:(p+1)*c.Filters], c.w.Data, 1, fanIn, c.Filters)
-		}
+	// addition sequence. Positions run outermost, in ascending order, and
+	// each adds Σ_f g[f]·W[f] into every sample's window with one Gemm
+	// whose C rows are the windows (inSize apart) and whose A rows are the
+	// samples' gradient rows at that position (oSize apart): its k loop runs
+	// the filters in order, and the samples share each load of W.
+	if lo == hi {
+		return
+	}
+	rows := hi - lo
+	for p := 0; p < c.outLen; p++ {
+		cw := c.bgin[lo*inSize+p*c.Stride*c.inCh:][:(rows-1)*inSize+fanIn]
+		gp := gradOut[lo*oSize+p*c.Filters:][:(rows-1)*oSize+c.Filters]
+		tensor.Gemm(cw, gp, c.w.Data, rows, fanIn, c.Filters, inSize, oSize)
 	}
 }
 

@@ -227,14 +227,13 @@ func BenchmarkLSTMFitEpoch(b *testing.B) {
 	}
 }
 
-// BenchmarkConvWindowGradTable1Conv3 times the overlapping-window input
-// gradient of Table-1 conv layer 3 at batch 32 (180 x 25 input, kernel 20,
-// stride 3, 25 filters, 54 positions): one one-row Gemm per sample and
-// position, each adding 25 filter rows of 500 weights.
-func BenchmarkConvWindowGradTable1Conv3(b *testing.B) {
+// benchConvWindowGrad times the overlapping-window input gradient of a
+// Table-1 conv layer at batch 32: per position, one Gemm over the 32
+// samples' windows, each adding its filter rows of W.
+func benchConvWindowGrad(b *testing.B, filters, kernel, stride int, shape []int) {
 	const n = 32
-	c := NewConv1D(25, 20, 3)
-	if _, err := c.Build(rng.New(3), []int{180, 25}); err != nil {
+	c := NewConv1D(filters, kernel, stride)
+	if _, err := c.Build(rng.New(3), shape); err != nil {
 		b.Fatal(err)
 	}
 	g := benchBlock(n, c.outLen*c.Filters)
@@ -246,6 +245,16 @@ func BenchmarkConvWindowGradTable1Conv3(b *testing.B) {
 	}
 	flops := 2 * float64(n*c.outLen*c.Filters*c.Kernel*c.inCh)
 	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+}
+
+// Conv 3: 180 x 25 input, kernel 20, stride 3, 54 positions of fanIn 500.
+func BenchmarkConvWindowGradTable1Conv3(b *testing.B) {
+	benchConvWindowGrad(b, 25, 20, 3, []int{180, 25})
+}
+
+// Conv 5: 54 x 25 input, kernel 15, stride 2, 20 positions of fanIn 375.
+func BenchmarkConvWindowGradTable1Conv5(b *testing.B) {
+	benchConvWindowGrad(b, 25, 15, 2, []int{54, 25})
 }
 
 // BenchmarkActivationBatch times a SELU layer over a 32 x 4500 block, the

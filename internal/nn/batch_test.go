@@ -213,6 +213,54 @@ func TestForwardBatchMatchesModelForward(t *testing.T) {
 	}
 }
 
+// TestConvTable1InputGradient pins Conv1D's input gradient to the
+// per-sample reference bit for bit at the Table-1 conv shapes whose
+// windows overlap (conv 3, 5 and 7, stride below kernel), where each
+// position adds one Gemm over the samples' windows, and at one conv with
+// stride >= kernel, which keeps the GEMM + Col2Im path. Sample counts of
+// 1, 3, 5 and 33 leave row-group tails, and each runs serially and over
+// two kernel shards.
+func TestConvTable1InputGradient(t *testing.T) {
+	for _, tc := range []struct {
+		name                    string
+		filters, kernel, stride int
+		shape                   []int
+	}{
+		{"conv3", 25, 20, 3, []int{180, 25}},
+		{"conv5", 25, 15, 2, []int{54, 25}},
+		{"conv7", 15, 15, 4, []int{20, 25}},
+		{"nonoverlap", 25, 4, 4, []int{40, 25}},
+	} {
+		for _, n := range []int{1, 3, 5, 33} {
+			for _, workers := range []int{1, 2} {
+				build := func() *Conv1D {
+					c := NewConv1D(tc.filters, tc.kernel, tc.stride)
+					if _, err := c.Build(rng.New(11), tc.shape); err != nil {
+						t.Fatalf("build: %v", err)
+					}
+					randomizeBiases(c.Params(), 11)
+					return c
+				}
+				c, ref := build(), build()
+				c.setKernelWorkers(workers)
+				inLen, outLen := shapeLen(tc.shape), c.outLen*c.Filters
+				src := rng.New(uint64(100*n + workers))
+				x, g := make([]float64, n*inLen), make([]float64, n*outLen)
+				fillBatch(src, x)
+				fillBatch(src, g)
+				c.ForwardBatch(x, n)
+				gin := c.BackwardBatch(g, n)
+				_, want := refRows(ref, x, g, n, nil)
+				name := tc.name + " n=" + itoa(n) + " workers=" + itoa(workers)
+				expectBits(t, name+" input gradient", gin, want, false)
+				for i, p := range c.Params() {
+					expectBits(t, name+" "+p.Name+" grad", p.Grad, ref.Params()[i].Grad, false)
+				}
+			}
+		}
+	}
+}
+
 // TestBatchedConvGradcheck verifies the batched conv forward/backward path
 // over a three-row block against central finite differences.
 func TestBatchedConvGradcheck(t *testing.T) {

@@ -161,7 +161,7 @@ func (l *LSTM) bptt(gradOut []float64, n int, inputGrad bool) {
 			}
 		}
 		zero(l.bdh[:n*u])
-		tensor.Gemm(l.bdh[:n*u], dg, l.wh.Data, n, u, 4*u)
+		tensor.Gemm(l.bdh[:n*u], dg, l.wh.Data, n, u, 4*u, u, 4*u)
 		if !inputGrad {
 			continue
 		}
@@ -185,7 +185,7 @@ func (l *LSTM) bptt(gradOut []float64, n int, inputGrad bool) {
 func (l *LSTM) inputGradStep(t, n, lo, hi int) {
 	g, fts := 4*l.Units, l.features
 	dg := l.bdg[(t*n+lo)*g : (t*n+hi)*g]
-	tensor.Gemm(l.bdx[(t*n+lo)*fts:(t*n+hi)*fts], dg, l.wx.Data, hi-lo, fts, g)
+	tensor.Gemm(l.bdx[(t*n+lo)*fts:(t*n+hi)*fts], dg, l.wx.Data, hi-lo, fts, g, fts, g)
 }
 
 // gradOrder returns the rows of the time-major blocks in the order n

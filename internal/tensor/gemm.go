@@ -28,43 +28,58 @@ import "fmt"
 // gradient accumulators of internal/nn never hold -0: they start at +0,
 // and a rounded sum is -0 only when both addends are.
 //
-// Dispatch. On amd64 hosts with AVX2 (and SPECML_NOASM unset) GemmNT and
-// the two axpy primitives Gemm and GemmTN are built from (axpy, axpy4) run
-// assembly that vectorizes across output elements: one SIMD lane per C
-// element, each adding its products with a separate VMULPD and VADDPD, in
-// the scalar loop's order. Those are the two roundings of the Go statement
-// `acc += a * b` (the amd64 Go compiler never fuses them), so the lanes
-// match the scalar kernels bit for bit. The assembly never uses FMA, whose
-// single rounding would not. On hosts with AVX-512F, GemmTN instead runs a
-// register-tiled kernel that keeps a 4 x 16 block of C in ZMM registers
-// for its whole k loop (gemm_amd64.s). The portable Go kernels are the
+// Dispatch. Every assembly kernel vectorizes across output elements: one
+// SIMD lane per C element, each adding its products with a separate
+// VMULPD and VADDPD, in the scalar loop's order. Those are the two
+// roundings of the Go statement `acc += a * b` (the amd64 Go compiler
+// never fuses them), so the lanes match the scalar kernels bit for bit.
+// The assembly never uses FMA, whose single rounding would not. On amd64
+// hosts with AVX-512F (and SPECML_NOASM unset) one register-tiled kernel
+// serves all three GEMMs (gemmTileAVX512 in gemm_amd64.s): it keeps a 4 x
+// 32 block of C in ZMM registers for a chunk of k, with separate strides
+// for A's rows and A's k index, B's rows and C's rows, and masked column
+// tails. GemmTN reads A transposed through those strides, Gemm reads
+// strided C and A rows in place, and GemmNT packs a k-chunk of Bᵀ into a
+// panel on the stack (from 32 A rows up; fewer rows run the AVX2 panels,
+// gemmNTTileMinRows). On hosts with AVX2 only, GemmNT runs 8- and 4-wide
+// panel kernels with a scalar column tail, and Gemm and GemmTN are built
+// from the axpy primitives (axpy, axpy4). The portable Go kernels are the
 // only path elsewhere and the oracle the assembly is tested against.
 
-// gemmKC is the k-tile size of Gemm and of GemmNT's packed B panels: one B
-// tile of gemmKC rows is reused across a whole stripe of A rows before the
-// next tile is touched, keeping the streamed B traffic inside L1/L2 for
-// large k.
+// gemmKC is the k-tile size of Gemm's axpy path and of GemmNT's AVX2 B
+// panels: one B tile of gemmKC rows is reused across a whole stripe of A
+// rows before the next tile is touched, keeping the streamed B traffic
+// inside L1/L2 for large k. Both GemmNT panels hold gemmKC*8 elements
+// (16 KiB).
 const gemmKC = 256
 
-// Gemm computes C += A*B for row-major A (m x k), B (k x n), C (m x n).
-func Gemm(c, a, b []float64, m, n, k int) {
-	if len(a) != m*k || len(b) != k*n || len(c) != m*n {
-		panic(fmt.Sprintf("tensor: Gemm dimension mismatch (a %d, b %d, c %d for m=%d n=%d k=%d)",
-			len(a), len(b), len(c), m, n, k))
+// Gemm computes C += A*B for row-major A (m x k), B (k x n) and C (m x
+// n) whose rows lie ldc (C) and lda (A) elements apart: row i of C is
+// c[i*ldc:][:n] and row i of A is a[i*lda:][:k], with ldc >= n and lda >=
+// k, and the elements between rows are neither read nor written. B is
+// dense (row stride n). A convolution's input gradient passes its
+// samples' windows as C rows, a layer's input size apart.
+func Gemm(c, a, b []float64, m, n, k, ldc, lda int) {
+	if m < 0 || ldc < n || lda < k || len(b) != k*n || m > 0 && (len(c) < (m-1)*ldc+n || len(a) < (m-1)*lda+k) {
+		panic(fmt.Sprintf("tensor: Gemm dimension mismatch (a %d, b %d, c %d for m=%d n=%d k=%d ldc=%d lda=%d)",
+			len(a), len(b), len(c), m, n, k, ldc, lda))
 	}
 	if m == 0 || n == 0 || k == 0 {
 		return
 	}
-	// k-tiles ascending: element (i,j) receives its p-contributions in
-	// ascending p order across tiles because C persists between tiles.
+	gemm(c, a, b, m, n, k, ldc, lda)
+}
+
+// gemmAxpy is Gemm's portable kernel, and its AVX2 kernel through the axpy
+// primitives. The k-tiles run in ascending order: element (i,j) receives
+// its p-contributions in ascending p order across tiles because C
+// persists between tiles.
+func gemmAxpy(c, a, b []float64, m, n, k, ldc, lda int) {
 	for p0 := 0; p0 < k; p0 += gemmKC {
-		p1 := p0 + gemmKC
-		if p1 > k {
-			p1 = k
-		}
+		p1 := min(p0+gemmKC, k)
 		for i := 0; i < m; i++ {
-			arow := a[i*k : (i+1)*k]
-			crow := c[i*n : (i+1)*n]
+			arow := a[i*lda:][:k]
+			crow := c[i*ldc:][:n]
 			p := p0
 			for ; p+4 <= p1; p += 4 {
 				axpy4(crow, arow[p], b[p*n:][:n], arow[p+1], b[(p+1)*n:][:n],

@@ -2,11 +2,11 @@
 
 #include "textflag.h"
 
-// AVX2 float64 kernels of the batched nn path. Every kernel vectorizes
-// across output elements: each lane holds one C (or y) element and adds
-// its products one VMULPD + VADDPD pair at a time, in the order of the
-// scalar loop it replaces, so every lane rounds exactly like the scalar
-// statement. None of them uses FMA: a fused multiply-add rounds once and
+// AVX2 and AVX-512 float64 kernels of the batched nn path. Every kernel
+// vectorizes across output elements: each lane holds one C (or y) element
+// and adds its products one VMULPD + VADDPD pair at a time, in the order
+// of the scalar loop it replaces, so every lane rounds exactly like the
+// scalar statement. None of them uses FMA: a fused multiply-add rounds once and
 // would break the bit-identity with the Go kernels.
 
 // func gemmNT8AVX2(c, a []float64, panel *[2048]float64, m, kc, ldc, lda int)
@@ -366,137 +366,216 @@ a1done:
 	VZEROUPPER
 	RET
 
-// func gemmTN16AVX512(c, a, b *float64, order *int, rows, q0, kc, m, n int, lo, hi uint64)
+// func gemmTileAVX512(c, a, b *float64, order *int, rows, q0, kc, lda, ldak, ldb, ldc int, cols uint64)
 //
-// C[i][0:16] += A[idx][i]·B[idx][0:16] for i < rows and idx = order[q]
-// (or q when order is nil), q ascending over [q0, q0+kc), every product
-// added, a zero scale included. A C row's 16 elements sit in two ZMM
-// registers for the whole q loop; four C rows at a time, then the row
-// tail one row at a time. K1 and K2 enable the strip's columns 0-7 and
-// 8-15: masked loads read nothing and masked stores write nothing past
-// the strip.
-TEXT ·gemmTN16AVX512(SB), NOSPLIT, $0-88
-	MOVQ   c+0(FP), DI
-	MOVQ   a+8(FP), SI
-	MOVQ   b+16(FP), DX
-	MOVQ   order+24(FP), R8
-	MOVQ   rows+32(FP), R9
-	MOVQ   q0+40(FP), R13
-	MOVQ   kc+48(FP), R14
-	MOVQ   m+56(FP), R11
-	MOVQ   n+64(FP), R10
-	MOVQ   lo+72(FP), AX
-	KMOVW  AX, K1
-	MOVQ   hi+80(FP), AX
-	KMOVW  AX, K2
-	SHLQ   $3, R11             // A row stride in bytes
-	SHLQ   $3, R10             // B and C row stride in bytes
-	ADDQ   R13, R14            // q end
-	LEAQ   (R10)(R10*2), R12   // 3 C rows
+// C[i·ldc + j] += A[i·lda + idx·ldak]·B[idx·ldb + j] for i < rows, the
+// strip's columns j < 32 and idx = order[q] (or q when order is nil), q
+// ascending over [q0, q0+kc), every product added, a zero scale included.
+// The strides count float64 elements. A C row's strip sits in up to four
+// ZMM registers for the whole q loop; four C rows at a time (Z0-Z15),
+// then the row tail one row at a time. Bit j of cols enables column j:
+// K1-K4 cover columns 0-7, 8-15, 16-23 and 24-31, masked loads read
+// nothing and masked stores write nothing past the strip, and a ZMM
+// group whose mask is empty is skipped, so a strip of w columns costs
+// ceil(w/8) multiplies and adds per row and k step. Each k step of a row
+// group prefetches the next group's A elements: GemmNT reads its A rows
+// (im2col windows) thousands of bytes apart.
+TEXT ·gemmTileAVX512(SB), NOSPLIT, $0-96
+	MOVQ  c+0(FP), DI
+	MOVQ  a+8(FP), SI
+	MOVQ  b+16(FP), DX
+	MOVQ  order+24(FP), R8
+	MOVQ  rows+32(FP), R9
+	MOVQ  q0+40(FP), R14
+	ADDQ  kc+48(FP), R14       // q end
+	MOVQ  lda+56(FP), R13
+	MOVQ  ldak+64(FP), R11
+	MOVQ  ldb+72(FP), R10
+	MOVQ  ldc+80(FP), R12
+	MOVQ  cols+88(FP), AX
+	KMOVW AX, K1
+	SHRQ  $8, AX
+	KMOVW AX, K2
+	SHRQ  $8, AX
+	KMOVW AX, K3
+	SHRQ  $8, AX
+	KMOVW AX, K4
+	SHLQ  $3, R13              // A row stride in bytes
+	SHLQ  $3, R11              // A k stride in bytes
+	SHLQ  $3, R10              // B row stride in bytes
+	SHLQ  $3, R12              // C row stride in bytes
 
-tn4rows:
+tile4rows:
 	CMPQ R9, $4
-	JLT  tn1rows
+	JLT  tile1rows
 
+	LEAQ      (DI)(R12*2), AX
+	ADDQ      R12, AX          // C row 3
 	VMOVUPD.Z (DI), K1, Z0
 	VMOVUPD.Z 64(DI), K2, Z1
-	VMOVUPD.Z (DI)(R10*1), K1, Z2
-	VMOVUPD.Z 64(DI)(R10*1), K2, Z3
-	VMOVUPD.Z (DI)(R10*2), K1, Z4
-	VMOVUPD.Z 64(DI)(R10*2), K2, Z5
-	VMOVUPD.Z (DI)(R12*1), K1, Z6
-	VMOVUPD.Z 64(DI)(R12*1), K2, Z7
-	MOVQ      R13, CX
+	VMOVUPD.Z 128(DI), K3, Z2
+	VMOVUPD.Z 192(DI), K4, Z3
+	VMOVUPD.Z (DI)(R12*1), K1, Z4
+	VMOVUPD.Z 64(DI)(R12*1), K2, Z5
+	VMOVUPD.Z 128(DI)(R12*1), K3, Z6
+	VMOVUPD.Z 192(DI)(R12*1), K4, Z7
+	VMOVUPD.Z (DI)(R12*2), K1, Z8
+	VMOVUPD.Z 64(DI)(R12*2), K2, Z9
+	VMOVUPD.Z 128(DI)(R12*2), K3, Z10
+	VMOVUPD.Z 192(DI)(R12*2), K4, Z11
+	VMOVUPD.Z (AX), K1, Z12
+	VMOVUPD.Z 64(AX), K2, Z13
+	VMOVUPD.Z 128(AX), K3, Z14
+	VMOVUPD.Z 192(AX), K4, Z15
+	MOVQ      q0+40(FP), CX
 
-tn4k:
+tile4k:
 	MOVQ  CX, AX
 	TESTQ R8, R8
-	JZ    tn4idx
+	JZ    tile4idx
 	MOVQ  (R8)(CX*8), AX
 
-tn4idx:
+tile4idx:
 	MOVQ         AX, BX
 	IMULQ        R11, AX
 	IMULQ        R10, BX
 	ADDQ         SI, AX
 	ADDQ         DX, BX
-	VMOVUPD.Z    (BX), K1, Z8
-	VMOVUPD.Z    64(BX), K2, Z9
-	VBROADCASTSD (AX), Z10
-	VBROADCASTSD 8(AX), Z11
-	VBROADCASTSD 16(AX), Z12
-	VBROADCASTSD 24(AX), Z13
-	VMULPD       Z8, Z10, Z14
-	VMULPD       Z9, Z10, Z15
-	VADDPD       Z14, Z0, Z0
-	VADDPD       Z15, Z1, Z1
-	VMULPD       Z8, Z11, Z16
-	VMULPD       Z9, Z11, Z17
-	VADDPD       Z16, Z2, Z2
-	VADDPD       Z17, Z3, Z3
-	VMULPD       Z8, Z12, Z18
-	VMULPD       Z9, Z12, Z19
-	VADDPD       Z18, Z4, Z4
-	VADDPD       Z19, Z5, Z5
-	VMULPD       Z8, Z13, Z20
-	VMULPD       Z9, Z13, Z21
-	VADDPD       Z20, Z6, Z6
-	VADDPD       Z21, Z7, Z7
-	INCQ         CX
-	CMPQ         CX, R14
-	JLT          tn4k
+	VBROADCASTSD (AX), Z20
+	VBROADCASTSD (AX)(R13*1), Z21
+	VBROADCASTSD (AX)(R13*2), Z22
+	PREFETCHT0   (AX)(R13*4)
+	LEAQ         (AX)(R13*2), AX
+	VBROADCASTSD (AX)(R13*1), Z23
+	PREFETCHT0   (AX)(R13*4)
+	ADDQ         R13, AX
+	PREFETCHT0   (AX)(R13*2)
+	PREFETCHT0   (AX)(R13*4)
+	VMOVUPD.Z    (BX), K1, Z16
+	VMULPD       Z16, Z20, Z24
+	VMULPD       Z16, Z21, Z25
+	VMULPD       Z16, Z22, Z26
+	VMULPD       Z16, Z23, Z27
+	VADDPD       Z24, Z0, Z0
+	VADDPD       Z25, Z4, Z4
+	VADDPD       Z26, Z8, Z8
+	VADDPD       Z27, Z12, Z12
+	KORTESTW     K2, K2
+	JZ           tile4next
+	VMOVUPD.Z    64(BX), K2, Z17
+	VMULPD       Z17, Z20, Z28
+	VMULPD       Z17, Z21, Z29
+	VMULPD       Z17, Z22, Z30
+	VMULPD       Z17, Z23, Z31
+	VADDPD       Z28, Z1, Z1
+	VADDPD       Z29, Z5, Z5
+	VADDPD       Z30, Z9, Z9
+	VADDPD       Z31, Z13, Z13
+	KORTESTW     K3, K3
+	JZ           tile4next
+	VMOVUPD.Z    128(BX), K3, Z18
+	VMULPD       Z18, Z20, Z24
+	VMULPD       Z18, Z21, Z25
+	VMULPD       Z18, Z22, Z26
+	VMULPD       Z18, Z23, Z27
+	VADDPD       Z24, Z2, Z2
+	VADDPD       Z25, Z6, Z6
+	VADDPD       Z26, Z10, Z10
+	VADDPD       Z27, Z14, Z14
+	KORTESTW     K4, K4
+	JZ           tile4next
+	VMOVUPD.Z    192(BX), K4, Z19
+	VMULPD       Z19, Z20, Z28
+	VMULPD       Z19, Z21, Z29
+	VMULPD       Z19, Z22, Z30
+	VMULPD       Z19, Z23, Z31
+	VADDPD       Z28, Z3, Z3
+	VADDPD       Z29, Z7, Z7
+	VADDPD       Z30, Z11, Z11
+	VADDPD       Z31, Z15, Z15
 
+tile4next:
+	INCQ CX
+	CMPQ CX, R14
+	JLT  tile4k
+
+	LEAQ    (DI)(R12*2), AX
+	ADDQ    R12, AX
 	VMOVUPD Z0, K1, (DI)
 	VMOVUPD Z1, K2, 64(DI)
-	VMOVUPD Z2, K1, (DI)(R10*1)
-	VMOVUPD Z3, K2, 64(DI)(R10*1)
-	VMOVUPD Z4, K1, (DI)(R10*2)
-	VMOVUPD Z5, K2, 64(DI)(R10*2)
-	VMOVUPD Z6, K1, (DI)(R12*1)
-	VMOVUPD Z7, K2, 64(DI)(R12*1)
+	VMOVUPD Z2, K3, 128(DI)
+	VMOVUPD Z3, K4, 192(DI)
+	VMOVUPD Z4, K1, (DI)(R12*1)
+	VMOVUPD Z5, K2, 64(DI)(R12*1)
+	VMOVUPD Z6, K3, 128(DI)(R12*1)
+	VMOVUPD Z7, K4, 192(DI)(R12*1)
+	VMOVUPD Z8, K1, (DI)(R12*2)
+	VMOVUPD Z9, K2, 64(DI)(R12*2)
+	VMOVUPD Z10, K3, 128(DI)(R12*2)
+	VMOVUPD Z11, K4, 192(DI)(R12*2)
+	VMOVUPD Z12, K1, (AX)
+	VMOVUPD Z13, K2, 64(AX)
+	VMOVUPD Z14, K3, 128(AX)
+	VMOVUPD Z15, K4, 192(AX)
 
-	LEAQ (DI)(R10*4), DI
-	ADDQ $32, SI
+	LEAQ (DI)(R12*4), DI
+	LEAQ (SI)(R13*4), SI
 	SUBQ $4, R9
-	JMP  tn4rows
+	JMP  tile4rows
 
-tn1rows:
+tile1rows:
 	TESTQ R9, R9
-	JZ    tndone
+	JZ    tiledone
 
 	VMOVUPD.Z (DI), K1, Z0
 	VMOVUPD.Z 64(DI), K2, Z1
-	MOVQ      R13, CX
+	VMOVUPD.Z 128(DI), K3, Z2
+	VMOVUPD.Z 192(DI), K4, Z3
+	MOVQ      q0+40(FP), CX
 
-tn1k:
+tile1k:
 	MOVQ  CX, AX
 	TESTQ R8, R8
-	JZ    tn1idx
+	JZ    tile1idx
 	MOVQ  (R8)(CX*8), AX
 
-tn1idx:
+tile1idx:
 	MOVQ         AX, BX
 	IMULQ        R11, AX
 	IMULQ        R10, BX
 	ADDQ         SI, AX
 	ADDQ         DX, BX
-	VBROADCASTSD (AX), Z10
-	VMULPD.Z     (BX), Z10, K1, Z14
-	VMULPD.Z     64(BX), Z10, K2, Z15
-	VADDPD       Z14, Z0, Z0
-	VADDPD       Z15, Z1, Z1
-	INCQ         CX
-	CMPQ         CX, R14
-	JLT          tn1k
+	VBROADCASTSD (AX), Z20
+	VMULPD.Z     (BX), Z20, K1, Z24
+	VADDPD       Z24, Z0, Z0
+	KORTESTW     K2, K2
+	JZ           tile1next
+	VMULPD.Z     64(BX), Z20, K2, Z25
+	VADDPD       Z25, Z1, Z1
+	KORTESTW     K3, K3
+	JZ           tile1next
+	VMULPD.Z     128(BX), Z20, K3, Z26
+	VADDPD       Z26, Z2, Z2
+	KORTESTW     K4, K4
+	JZ           tile1next
+	VMULPD.Z     192(BX), Z20, K4, Z27
+	VADDPD       Z27, Z3, Z3
+
+tile1next:
+	INCQ CX
+	CMPQ CX, R14
+	JLT  tile1k
 
 	VMOVUPD Z0, K1, (DI)
 	VMOVUPD Z1, K2, 64(DI)
-	ADDQ    R10, DI
-	ADDQ    $8, SI
+	VMOVUPD Z2, K3, 128(DI)
+	VMOVUPD Z3, K4, 192(DI)
+	ADDQ    R12, DI
+	ADDQ    R13, SI
 	DECQ    R9
-	JMP     tn1rows
+	JMP     tile1rows
 
-tndone:
+tiledone:
 	VZEROUPPER
 	RET
 

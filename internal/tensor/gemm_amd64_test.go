@@ -74,9 +74,9 @@ func TestGemmAsmMatchesGeneric(t *testing.T) {
 		fillRand(src, b)
 		fillSpecial(src, c, 8)
 		want := append([]float64(nil), c...)
-		withLevel(levelGo, func() { Gemm(want, a, b, s.m, s.n, s.k) })
+		withLevel(levelGo, func() { Gemm(want, a, b, s.m, s.n, s.k, s.n, s.k) })
 		got := append([]float64(nil), c...)
-		Gemm(got, a, b, s.m, s.n, s.k)
+		Gemm(got, a, b, s.m, s.n, s.k, s.n, s.k)
 		if i, ok := sameBits(got, want); !ok {
 			t.Fatalf("shape %+v element %d: asm %g vs generic %g", s, i, got[i], want[i])
 		}

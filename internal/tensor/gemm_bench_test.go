@@ -27,7 +27,7 @@ func BenchmarkGemm32x199x32(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Gemm(cm, am, bm, m, n, k)
+		Gemm(cm, am, bm, m, n, k, n, k)
 	}
 }
 
@@ -99,6 +99,13 @@ func BenchmarkGemmNTTable1Conv3(b *testing.B) { benchGemmNT(b, 1728, 25, 500) }
 
 func BenchmarkGemmNTLSTMInput(b *testing.B) { benchGemmNT(b, 160, 128, 1700) }
 
+// BenchmarkGemmNTLSTMRecurrent is one training timestep's recurrent term
+// (32 samples x 32 units onto 128 gate rows), and BenchmarkGemmNTLSTMMonitor
+// the input projection of one serve-monitor step (5 steps of 1700 points).
+func BenchmarkGemmNTLSTMRecurrent(b *testing.B) { benchGemmNT(b, 32, 128, 32) }
+
+func BenchmarkGemmNTLSTMMonitor(b *testing.B) { benchGemmNT(b, 5, 128, 1700) }
+
 func BenchmarkGemmTNTable1Conv3(b *testing.B) {
 	// dW (25 x 500) += dYᵀ (25 x 1728) · col (1728 x 500), ReLU-style
 	// sparse output gradients included.
@@ -152,6 +159,35 @@ func BenchmarkGemmTNLSTMWh(b *testing.B) { benchGemmTNLevels(b, 128, 32, 160, tr
 func BenchmarkGemmTNTable1Conv1Levels(b *testing.B) { benchGemmTNLevels(b, 25, 20, 5760, false) }
 
 func BenchmarkGemmTNTable1Conv3Levels(b *testing.B) { benchGemmTNLevels(b, 25, 500, 1728, false) }
+
+// benchGemmNTLevels runs GemmNT at one forward shape once per dispatch
+// level the host has (sub-benchmarks go, avx2, avx512).
+func benchGemmNTLevels(b *testing.B, m, n, k int) {
+	am, bm, cm := make([]float64, m*k), make([]float64, n*k), make([]float64, m*n)
+	src := rng.New(107)
+	fillRand(src, am)
+	fillRand(src, bm)
+	for _, l := range hostLevels() {
+		withLevel(l, func() {
+			b.Run(levelNames[l], func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					GemmNT(cm, am, bm, m, n, k)
+				}
+				b.ReportMetric(2*float64(m*n*k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		})
+	}
+}
+
+// The Table-1 conv forwards at batch 32: conv 1 (32 x 180 windows of
+// fanIn 20), conv 3 (32 x 54 of 500) and conv 5 (32 x 20 of 375), each
+// against 25 filters.
+func BenchmarkGemmNTTable1Conv1Levels(b *testing.B) { benchGemmNTLevels(b, 5760, 25, 20) }
+
+func BenchmarkGemmNTTable1Conv3Levels(b *testing.B) { benchGemmNTLevels(b, 1728, 25, 500) }
+
+func BenchmarkGemmNTTable1Conv5Levels(b *testing.B) { benchGemmNTLevels(b, 640, 25, 375) }
 
 // BenchmarkAxpy4Conv1Row is one axpy4 call at the Table-1 conv 1 row
 // length (fanIn 20): the fixed per-call cost of the dispatch gate and the

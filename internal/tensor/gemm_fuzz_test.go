@@ -38,10 +38,12 @@ func sameBits(got, want []float64) (int, bool) {
 
 // FuzzGemmFloat is the differential harness of the float64 kernels: on
 // random shapes and values (exact zeros, ±0, ±Inf, NaN and subnormals)
-// every public GEMM kernel and both axpy primitives, on whichever path the
-// host dispatches to, must equal the per-element ascending-k reference bit
-// for bit, any two NaNs counting as equal. Every slice is sized exactly,
-// so a kernel that reads or writes past an operand trips a bounds check.
+// every public GEMM kernel and both axpy primitives, at every dispatch
+// level the host has, must equal the per-element ascending-k reference
+// bit for bit, any two NaNs counting as equal. Gemm also runs with C and A
+// rows strided past n and k, and must leave the gaps between C's rows
+// untouched. Every dense slice is sized exactly, so a kernel that reads or
+// writes past an operand trips a bounds check.
 func FuzzGemmFloat(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint8(0), uint16(0), uint8(0))    // m = n = k = 1
 	f.Add(uint64(2), uint8(4), uint8(24), uint16(499), uint8(3)) // a Table-1 conv row block
@@ -64,7 +66,7 @@ func FuzzGemmFloat(f *testing.F) {
 		check := func(name string, got, want []float64) {
 			t.Helper()
 			if i, ok := sameBits(got, want); !ok {
-				t.Fatalf("%s m=%d n=%d k=%d element %d: %g vs reference %g", name, m, n, k, i, got[i], want[i])
+				t.Fatalf("%s %s m=%d n=%d k=%d element %d: %g vs reference %g", levelNames[simd()], name, m, n, k, i, got[i], want[i])
 			}
 		}
 		run := func(name string, transA, transB bool, kernel func(c, a, b []float64)) {
@@ -79,14 +81,20 @@ func FuzzGemmFloat(f *testing.F) {
 			kernel(c, a, b)
 			check(name, c, want)
 		}
-		run("Gemm", false, false, func(c, a, b []float64) { Gemm(c, a, b, m, n, k) })
-		run("GemmNT", false, true, func(c, a, b []float64) { GemmNT(c, a, b, m, n, k) })
-		run("GemmTN", true, false, func(c, a, b []float64) { GemmTN(c, a, b, m, n, k, 0, m, nil) })
-		split := m / 2
-		run("GemmTN rows", true, false, func(c, a, b []float64) {
-			GemmTN(c, a, b, m, n, k, 0, split, nil)
-			GemmTN(c, a, b, m, n, k, split, m, nil)
-		})
+		ldc, lda := n+int(seed%37), k+int(seed/37%5)
+		for _, l := range hostLevels() {
+			withLevel(l, func() {
+				run("Gemm", false, false, func(c, a, b []float64) { Gemm(c, a, b, m, n, k, n, k) })
+				run("GemmNT", false, true, func(c, a, b []float64) { GemmNT(c, a, b, m, n, k) })
+				run("GemmTN", true, false, func(c, a, b []float64) { GemmTN(c, a, b, m, n, k, 0, m, nil) })
+				split := m / 2
+				run("GemmTN rows", true, false, func(c, a, b []float64) {
+					GemmTN(c, a, b, m, n, k, 0, split, nil)
+					GemmTN(c, a, b, m, n, k, split, m, nil)
+				})
+				checkGemm(t, src, m, n, k, ldc, lda)
+			})
+		}
 
 		// The axpy primitives over k elements against their scalar loops.
 		y := make([]float64, k)

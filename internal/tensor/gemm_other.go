@@ -8,6 +8,10 @@ func gemmNT(c, a, b []float64, m, n, k int) {
 	gemmNTGeneric(c, a, b, m, n, k)
 }
 
+func gemm(c, a, b []float64, m, n, k, ldc, lda int) {
+	gemmAxpy(c, a, b, m, n, k, ldc, lda)
+}
+
 func gemmTN(c, a, b []float64, m, n, k, i0, i1 int, order []int) {
 	gemmTNAxpy(c, a, b, m, n, k, i0, i1, order)
 }

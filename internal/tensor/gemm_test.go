@@ -76,7 +76,7 @@ func TestGemmMatchesOrderedReference(t *testing.T) {
 		fillRand(src, c)
 		want := append([]float64(nil), c...)
 		refGemm(want, a, b, s.m, s.n, s.k, false, false)
-		Gemm(c, a, b, s.m, s.n, s.k)
+		Gemm(c, a, b, s.m, s.n, s.k, s.n, s.k)
 		bitsEqual(t, "Gemm", c, want)
 	}
 }
@@ -145,18 +145,34 @@ func TestGemmTNRangesCompose(t *testing.T) {
 
 func TestGemmZeroDims(t *testing.T) {
 	// Degenerate shapes must be no-ops, not panics.
-	Gemm(nil, nil, nil, 0, 0, 0)
+	Gemm(nil, nil, nil, 0, 0, 0, 0, 0)
 	GemmNT(nil, nil, nil, 0, 3, 0)
 	GemmTN(nil, nil, nil, 2, 0, 0, 0, 2, nil)
 }
 
 func TestGemmDimensionMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("expected panic on mismatched dims")
-		}
-	}()
-	Gemm(make([]float64, 4), make([]float64, 3), make([]float64, 4), 2, 2, 2)
+	f := func(n int) []float64 { return make([]float64, n) }
+	for _, tc := range []struct {
+		name              string
+		c, a              []float64
+		m, n, k, ldc, lda int
+	}{
+		{"short A", f(4), f(3), 2, 2, 2, 2, 2},
+		{"ldc below n", f(4), f(4), 2, 2, 2, 1, 2},
+		{"lda below k", f(4), f(4), 2, 2, 2, 2, 1},
+		{"C short of its last strided row", f(6), f(4), 2, 2, 2, 5, 2},
+		{"A short of its last strided row", f(4), f(6), 2, 2, 2, 2, 5},
+		{"negative m", f(4), f(4), -1, 2, 2, 2, 2},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected a panic", tc.name)
+				}
+			}()
+			Gemm(tc.c, tc.a, f(tc.k*tc.n), tc.m, tc.n, tc.k, tc.ldc, tc.lda)
+		}()
+	}
 }
 
 func TestIm2ColWindows(t *testing.T) {
@@ -275,7 +291,7 @@ func TestAdjointIdentityProperty(t *testing.T) {
 		wx := make([]float64, rows)
 		GemmNT(wx, x, w, 1, rows, cols)
 		wty := make([]float64, cols)
-		Gemm(wty, y, w, 1, cols, rows)
+		Gemm(wty, y, w, 1, cols, rows, cols, rows)
 		return math.Abs(dot(wty, x)-dot(y, wx)) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

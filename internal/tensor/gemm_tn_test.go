@@ -165,7 +165,7 @@ func TestGemmZeroScaleAddsNaN(t *testing.T) {
 							name string
 							run  func(c []float64)
 						}{
-							{"Gemm", func(c []float64) { Gemm(c, scales, b, s.m, s.n, s.k) }},
+							{"Gemm", func(c []float64) { Gemm(c, scales, b, s.m, s.n, s.k, s.n, s.k) }},
 							{"GemmTN", func(c []float64) { GemmTN(c, scales, b, s.m, s.n, s.k, 0, s.m, nil) }},
 						} {
 							c := make([]float64, s.m*s.n)
